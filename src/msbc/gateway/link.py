@@ -21,6 +21,14 @@ from msbc.wire.types import parse_endpoint
 _RECV_SIZE = 65536
 
 
+def client_tls_context() -> ssl.SSLContext:
+    """Client side of the operator-domain TLS policy: encrypt, don't verify."""
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
+    context.check_hostname = False
+    context.verify_mode = ssl.CERT_NONE
+    return context
+
+
 class LinkControl:
     def __init__(self):
         self.dispatch_lock = threading.RLock()
@@ -41,7 +49,6 @@ class Link:
         on_frame: Callable[["Link", Frame], None],
         on_lost: Callable[["Link"], None],
         secure: bool = False,
-        tls_context: ssl.SSLContext | None = None,
         local_address: str | None = None,
         name: str = "link",
         connect_timeout: float = 5.0,
@@ -58,12 +65,7 @@ class Link:
         source = (local_address, 0) if local_address else None
         sock = socket.create_connection((host, port), timeout=connect_timeout, source_address=source)
         if secure:
-            context = tls_context
-            if context is None:
-                context = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
-                context.check_hostname = False
-                context.verify_mode = ssl.CERT_NONE
-            sock = context.wrap_socket(sock, server_hostname=host)
+            sock = client_tls_context().wrap_socket(sock, server_hostname=host)
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock

@@ -328,16 +328,19 @@ class Broker:
             wire = new.allocator.allocate()
             self.table.bind(entry, "lgw", End(new.id, wire))
             self._event("rebound", session=new.id, ctid=entry.ctid, wire=wire, detail=f"from={old.id}")
-        self._close_quietly(old, "superseded")
+        self._session_lost(old, "superseded")
 
     def _supersede_asgw(self, old: _BrokerSession, new: _BrokerSession) -> None:
+        """Same provider reconnected (a hung process replaced): park its
+        wires for the newcomer. Packets in flight to the old session are
+        answered 480 by the retire sweep in _session_lost."""
         for entry in self.table.entries_for_session(old.id):
             if entry.asgw is None or entry.asgw.session_id != old.id:
                 continue
             gone = self.table.unbind(entry, "asgw")
             entry.state = EntryState.BUFFERING
             self._event("buffering", session=old.id, ctid=entry.ctid, wire=gone.wire, detail="superseded")
-        self._close_quietly(old, "superseded")
+        self._session_lost(old, "superseded")
 
     def _provider_return(self, bs: _BrokerSession) -> None:
         for entry in self.table.entries_for_provider(bs.provider or ""):
@@ -389,7 +392,12 @@ class Broker:
     def _attach_payload(self, conn_id: int, conn: _Conn, msg: ControlMessage) -> None:
         call_id = msg.params["Call-ID"]
         bs = self.sessions.get(call_id)
-        if bs is None or bs.session.state is not SessionState.ESTABLISHED:
+        # The payload PING may overtake the ACK on the signal connection:
+        # the dialog exists once the 200 is sent.
+        if bs is None or bs.session.state not in (
+            SessionState.INVITE_RECEIVED,
+            SessionState.ESTABLISHED,
+        ):
             self._send_raw(
                 conn_id,
                 encode_frame(
@@ -398,8 +406,8 @@ class Broker:
             )
             self._drop_conn(conn_id, "payload attach to unknown dialog")
             return
-        negotiated = bs.session.negotiated
-        if negotiated is not None and negotiated.security is Security.SECURE and not conn.secure:
+        agreed = bs.session.negotiated or bs.session.pending_answer
+        if agreed is not None and agreed.security is Security.SECURE and not conn.secure:
             self._send_raw(
                 conn_id,
                 encode_frame(
@@ -644,6 +652,9 @@ class Broker:
     # -- teardown ------------------------------------------------------------
 
     def _session_lost(self, bs: _BrokerSession, reason: str) -> None:
+        """The one retire path for a session. A superseded session reaches
+        it with its wires already moved to the newcomer, so only the
+        pending sweeps and the connection teardown apply to it."""
         if bs.id not in self.sessions:
             return
         del self.sessions[bs.id]
@@ -702,12 +713,6 @@ class Broker:
                     self._send_raw(src.conn_payload, encode_frame(out))
             elif relay.src_session == bs.id:
                 del self.pending_relay[key]
-        self._close_session_conns(bs)
-
-    def _close_quietly(self, bs: _BrokerSession, reason: str) -> None:
-        """Retire a superseded session without touching its former wires."""
-        self.sessions.pop(bs.id, None)
-        self._event("session_closed", session=bs.id, detail=reason)
         self._close_session_conns(bs)
 
     def _close_session_conns(self, bs: _BrokerSession) -> None:

@@ -82,7 +82,10 @@ class Rig:
 
 
 class Gw:
-    def __init__(self, rig, subscriber, role, provider=None, access=Access.RADIO, attach_payload=True):
+    def __init__(
+        self, rig, subscriber, role, provider=None, access=Access.RADIO, attach_payload=True,
+        send_ack=True,
+    ):
         self.rig = rig
         self.subscriber = subscriber
         self.signal = rig.connect()
@@ -101,7 +104,7 @@ class Gw:
         self.session, actions = on_signal(self.session, reply, rig.now, txn=rig.txns.next())
         self.actions = actions
         self.payload = None
-        if actions and isinstance(actions[0], SendSignal):
+        if send_ack and actions and isinstance(actions[0], SendSignal):
             rig.feed(self.signal, actions[0].msg)
             if attach_payload:
                 self.attach_payload()
@@ -186,6 +189,25 @@ def test_plain_attach_to_secure_dialog_refused(rig):
     gw = Gw(rig, "as-metering", Role.ASGW, "metering", access=Access.INTERNET, attach_payload=False)
     conn = rig.connect(secure=False)
     rig.feed(conn, ControlMessage(Verb.PING, {"Call-ID": gw.session.call_id}, txn="t99999999"))
+    frames = rig.drain(conn)
+    assert frames[0].verb is Verb.ERROR and frames[0].params["Reason"] == "secure-required"
+    assert conn in rig.outbox.closed
+
+
+def test_payload_ping_before_ack_is_accepted(rig):
+    gw = Gw(rig, "home-gw", Role.LGW, send_ack=False)
+    pong = gw.attach_payload()  # overtakes the ACK
+    assert pong[0].verb is Verb.PONG
+    rig.feed(gw.signal, gw.actions[0].msg)
+    assert rig.kinds("session_established")
+    assert rig.broker.sessions[gw.session.call_id].conn_payload == gw.payload
+    assert gw.payload not in rig.outbox.closed
+
+
+def test_plain_attach_before_ack_to_secure_dialog_refused(rig):
+    gw = Gw(rig, "as-metering", Role.ASGW, "metering", access=Access.INTERNET, send_ack=False)
+    conn = rig.connect(secure=False)
+    rig.feed(conn, ControlMessage(Verb.PING, {"Call-ID": gw.session.call_id}, txn="t99999998"))
     frames = rig.drain(conn)
     assert frames[0].verb is Verb.ERROR and frames[0].params["Reason"] == "secure-required"
     assert conn in rig.outbox.closed
@@ -581,3 +603,15 @@ def test_new_asgw_session_supersedes_provider(pair):
     lgw.send(lw, 1, b"migrated")
     got = asgw2.payload_frames()[0]
     assert got.payload == b"migrated" and got.seq == 1
+
+
+def test_packet_in_flight_to_superseded_provider_gets_480(pair):
+    rig, lgw, asgw = pair
+    lw, _ = commission(rig, lgw, asgw, "meter.1")
+    txn = lgw.send(lw, 1, b"in flight")
+    assert isinstance(asgw.payload_frames()[0], WirePacket)  # the hung provider never reports
+    Gw(rig, "as-metering", Role.ASGW, "metering", attach_payload=False)
+    assert [e.detail for e in rig.kinds("session_closed")] == ["superseded"]
+    rpts = lgw.payload_frames()
+    assert [(r.txn, r.wire, r.seq, r.status) for r in rpts] == [(txn, lw, 1, 480)]
+    assert not rig.broker.pending_relay

@@ -1,12 +1,13 @@
-"""End-to-end socket checks for the threaded broker server."""
+"""End-to-end socket checks for the broker server's event loop."""
 
 import socket
+import threading
 import time
 
 import pytest
 
 from msbc.interconnect import BrokerServer, ServerConfig, parse_directory
-from msbc.interconnect.server import client_tls_context
+from msbc.gateway.link import client_tls_context
 from msbc.session import SendSignal, make_invite, on_signal
 from msbc.wire import (
     Access,
@@ -132,3 +133,80 @@ def test_server_survives_garbage(server):
     client, sess = establish(server)
     assert sess.state.value == "Established"
     client.close()
+
+
+def ping_pong(client, timeout=2.0):
+    client.send(ControlMessage(Verb.PING, {}, txn=client.txns.next()))
+    deadline = time.monotonic() + timeout
+    while True:
+        frame = client.recv_frame(timeout=max(0.01, deadline - time.monotonic()))
+        if frame.verb is Verb.PONG:
+            return
+
+
+def test_start_adds_one_thread_and_stop_joins_it_with_live_connections():
+    before = set(threading.enumerate())
+    server = BrokerServer(parse_directory(DIRECTORY))
+    server.start()
+    added = set(threading.enumerate()) - before
+    assert len(added) == 1
+    client, sess = establish(server)
+    payload = Client(server.payload_endpoint)
+    payload.send(ControlMessage(Verb.PING, {"Call-ID": sess.call_id}, txn=payload.txns.next()))
+    assert payload.recv_frame().verb is Verb.PONG
+    server.stop()
+    assert not added.pop().is_alive()
+    for conn in (client, payload):
+        with pytest.raises(ConnectionError):
+            conn.recv_frame(timeout=2)
+        conn.close()
+
+
+def test_peer_that_never_reads_stalls_nobody_and_is_dropped():
+    config = ServerConfig(keepalive_interval_ms=400, buffer_max_bytes=256 * 1024)
+    with BrokerServer(parse_directory(DIRECTORY), config) as server:
+        stuck, stuck_sess = establish(server, subscriber="stuck-gw")
+        live, _ = establish(server, subscriber="live-gw")
+        # Each PING echoes ~60 KB of parameters back in its PONG, which the
+        # stuck client never reads. Its PINGs keep the session's watchdog
+        # quiet, so only the unsent-byte cap can drop it.
+        params = {f"Pad-{i}": "x" * 4000 for i in range(15)}
+        dropped = None
+        deadline = time.monotonic() + 15
+        while dropped is None and time.monotonic() < deadline:
+            try:
+                stuck.send(ControlMessage(Verb.PING, params, txn=stuck.txns.next()))
+            except OSError:
+                pass  # the broker already hung up
+            ping_pong(live)  # raises if the broker is stalled
+            dropped = server.events.wait_for(
+                lambda e: e.kind == "session_closed" and e.session == stuck_sess.call_id,
+                timeout=0,
+            )
+        assert dropped is not None and dropped.detail == "connection-lost"
+        ping_pong(live)
+        stuck.close()
+        live.close()
+
+
+def test_unknown_dialog_error_arrives_before_eof(server):
+    payload = Client(server.payload_endpoint)
+    payload.send(ControlMessage(Verb.PING, {"Call-ID": "c-nope"}, txn=payload.txns.next()))
+    error = payload.recv_frame()
+    assert error.verb is Verb.ERROR and error.params["Reason"] == "unknown-dialog"
+    with pytest.raises(ConnectionError):
+        payload.recv_frame()
+    payload.close()
+
+
+def test_stalled_tls_handshake_blocks_no_other_attach(server):
+    host, port = server.payload_tls_endpoint.rsplit(":", 1)
+    silent = socket.create_connection((host, int(port)), timeout=5)  # never says hello
+    client, sess = establish(server, access=Access.INTERNET)
+    payload = Client(server.payload_tls_endpoint, tls_context=client_tls_context())
+    payload.send(ControlMessage(Verb.PING, {"Call-ID": sess.call_id}, txn=payload.txns.next()))
+    assert payload.recv_frame().verb is Verb.PONG
+    # The broker sees a TLS connection only once its handshake completes.
+    assert len(server.broker.conns) == 2
+    for sock in (silent, payload, client):
+        sock.close()

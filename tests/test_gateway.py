@@ -135,6 +135,15 @@ def test_internet_access_negotiates_secure_payload(srv):
         gw.close()
 
 
+def test_internet_access_opens_reliably(srv):
+    # A TLS session ticket racing the first payload frame used to hang an
+    # open in a few of every hundred.
+    for _ in range(25):
+        gw = open_gateway(gw_config("home-1", Role.LGW, srv, access=Access.INTERNET), timeout=5.0)
+        gw.close()
+        assert gw.state is GatewayState.CLOSED
+
+
 def test_negotiated_frame_size_is_minimum_of_both(srv):
     gw = open_gateway(gw_config("home-1", Role.LGW, srv, max_frame_size=1024))
     try:
@@ -466,3 +475,36 @@ def test_provider_restart_buffers_then_flushes(pair):
         assert srv.broker.events.count("buffer_flush", "meter.a") == 1
     finally:
         asgw2.abort()
+
+
+def test_full_buffers_flush_to_a_returning_provider(caplog):
+    # Three ctids parked near the buffer cap flush into one fresh payload
+    # connection in one pass: far more than the cap at once, and more than
+    # the socket takes in one send, all of it to a peer that is reading.
+    config = ServerConfig()
+    ctids = ("meter.a", "meter.b", "meter.c")
+    payload = b"p" * 12000
+    per_ctid = config.buffer_max_bytes // len(payload)
+    with BrokerServer(DIRECTORY, config) as srv:
+        asgw = open_gateway(gw_config("as-metering", Role.ASGW, srv, provider="metering"))
+        lgw = open_gateway(gw_config("home-1", Role.LGW, srv, report_timeout_ms=20000.0))
+        try:
+            for ctid in ctids:
+                lgw.attach_device(ctid).wait(5)
+            asgw.abort()
+            assert wait_until(lambda: srv.broker.events.count("buffering") == len(ctids))
+            held = [lgw.transmit(c, payload) for c in ctids for _ in range(per_ctid)]
+            assert wait_until(
+                lambda: sum(len(e.buffer) for e in srv.broker.table.by_ctid.values()) == len(held)
+            )
+            sink2 = Recorder()
+            asgw2 = open_gateway(gw_config("as-metering", Role.ASGW, srv, provider="metering"), sink2)
+            try:
+                assert [d.wait(15) for d in held] == [DeliveryStatus.DELIVERED] * len(held)
+                assert wait_until(lambda: len(sink2.data) == len(held))
+                assert srv.broker.events.count("packet_dropped") == 0
+                assert "unsent bytes" not in caplog.text
+            finally:
+                asgw2.abort()
+        finally:
+            lgw.abort()

@@ -1,16 +1,20 @@
 """Gateway-side endpoint of the interconnect: session setup, device
 attachment, and payload transfer behind a small threaded facade.
 
-A Gateway owns two links to the broker (signaling and payload), a timer
-thread for keepalives and report deadlines, and a reconnect thread that
-re-establishes the whole session after a loss. All shared state sits behind
-one reentrant lock, which doubles as the link dispatch lock so fault flips
-can never interleave with a half-processed frame.
+A Gateway owns two links to the broker (signaling and payload) and one
+``msbc.loop.EventLoop`` thread, started by ``open()`` and joined by
+``close()``/``abort()``. The loop reads both links and dispatches their
+frames; its tick resolves report deadlines, sends keepalives and, once a
+reconnect deadline comes due, re-establishes the whole session after a
+loss. Writes go out on the caller's thread. All shared state sits behind
+one reentrant lock, the link dispatch lock, so fault flips never
+interleave with a half-processed frame.
 
-Receiver callbacks run on the link reader threads with that lock held: keep
-them quick. Calling back into the gateway from a callback is fine (the lock
-is reentrant). Exceptions raised by a receiver are swallowed so user bugs
-cannot take down the link machinery.
+Receiver callbacks run on the loop thread with that lock held: keep them
+quick. Calling back into the gateway from a callback is fine (the lock is
+reentrant); a ``close()`` there does not wait for acks. Exceptions raised
+by a receiver are swallowed so user bugs cannot take down the link
+machinery.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from enum import Enum
 from msbc.session import (
     DialogRejected,
     Keepalive,
+    NegotiatedChannel,
     OpenPayload,
     SendSignal,
     Session,
@@ -51,10 +56,7 @@ from msbc.wire import (
 from msbc.wire.types import validate_ctid
 
 from msbc.gateway.link import Link, LinkControl
-
-
-def _now_ms() -> float:
-    return time.monotonic() * 1000.0
+from msbc.loop import EventLoop, now_ms as _now_ms
 
 
 class GatewayState(Enum):
@@ -230,17 +232,16 @@ class Gateway:
         self._pending_attach: dict[str, Attachment] = {}
         self._pending_detach: dict[str, threading.Event] = {}
         self._pending_reports: dict[str, tuple[Delivery, float]] = {}
-        self._graveyard: list[Link] = []
         self._open_event = threading.Event()
         self._open_error: SessionRejected | None = None
         self._bye_done = threading.Event()
         self._closing = False
-        self._reconnecting = False
+        self._dial_at: float | None = None  # when the loop next (re)connects
+        self._payload_channel: NegotiatedChannel | None = None  # for the tick to connect
         self._last_rx_ms = _now_ms()
         self._last_ping_ms = float("-inf")
         self._backoff_ms = config.reconnect_initial_ms
-        self._stop = threading.Event()
-        self._timer: threading.Thread | None = None
+        self._loop: EventLoop | None = None
 
     # ------------------------------------------------------------- lifecycle
 
@@ -250,12 +251,7 @@ class Gateway:
                 return self
             self._state = GatewayState.CONNECTING
             self._last_rx_ms = _now_ms()
-            if self._timer is None:
-                self._timer = threading.Thread(
-                    target=self._timer_loop, daemon=True, name="msbc-gw-timer"
-                )
-                self._timer.start()
-            self._spawn_reconnect(0.0)
+            self._redial(0.0)
         if wait:
             self.wait_until_open(timeout)
         return self
@@ -271,23 +267,23 @@ class Gateway:
 
     def close(self, timeout: float = 5.0) -> None:
         """Orderly shutdown: detach every device, wait for the release acks,
-        end the dialog, then drop the links. Idempotent."""
+        end the dialog, then drop the links. Idempotent. From a receiver
+        callback it waits for nothing: the loop that reads acks is the caller."""
+        acks = []
         with self._mu:
             if self._closing:
                 return
             self._closing = True
             live = self._state is GatewayState.OPEN and self._signal is not None
-            ctids = sorted(self._wires) if live else []
-        deadline = time.monotonic() + timeout
-        acks = []
-        for ctid in ctids:
-            with self._mu:
-                if ctid in self._wires and ctid not in self._pending_detach:
-                    ev = threading.Event()
-                    self._pending_detach[ctid] = ev
+            for ctid in sorted(self._wires) if live else []:
+                if ctid not in self._pending_detach:
+                    ev = self._pending_detach[ctid] = threading.Event()
                     self._known.discard(ctid)
                     self._send_control(Verb.DECOMMISSION, {"Ctid": ctid})
                     acks.append(ev)
+        if self._loop is not None and self._loop.in_loop():
+            timeout = 0.0
+        deadline = time.monotonic() + timeout
         for ev in acks:
             ev.wait(max(0.0, deadline - time.monotonic()))
         bye_sent = False
@@ -417,18 +413,14 @@ class Gateway:
             for link in (self._signal, self._payload):
                 if link is not None:
                     link.muted = True
-                    link.close()
-                    self._graveyard.append(link)
-            self._signal = None
-            self._payload = None
+            self._drop_session()
             if local_address is not None:
                 self.config.local_address = local_address
             if access is not None:
                 self.config.access = access
-            self._drop_session_state()
             self._state = GatewayState.DEGRADED
             self._safe(self.receiver.on_state, GatewayState.DEGRADED)
-            self._spawn_reconnect(0.0)
+            self._redial(0.0)
 
     # ------------------------------------------------------------- internals
 
@@ -444,9 +436,12 @@ class Gateway:
             return False
         return link.send_frame(ControlMessage(verb, params, txn=self._txns.next()))
 
-    def _drop_session_state(self) -> None:
-        # in-flight traffic dies with the connection; attachments re-form later
-        self._session = None
+    def _drop_session(self) -> None:
+        # in-flight traffic dies with the links; attachments re-form later
+        for link in (self._signal, self._payload):
+            if link is not None:
+                link.close()
+        self._signal = self._payload = self._session = None
         self._payload_ready = False
         self._open_event.clear()
         self._wires.clear()
@@ -455,151 +450,110 @@ class Gateway:
             d._resolve(DeliveryStatus.PEER_UNAVAILABLE)
         self._pending_reports.clear()
 
-    def _spawn_reconnect(self, first_delay_ms: float) -> None:
-        if self._reconnecting or self._stop.is_set():
-            return
-        self._reconnecting = True
-        threading.Thread(
-            target=self._reconnect_loop,
-            args=(first_delay_ms,),
-            daemon=True,
-            name="msbc-gw-reconnect",
-        ).start()
+    def _redial(self, delay_ms: float) -> None:
+        """(Re)connect after ``delay_ms``, starting the loop on first use."""
+        self._dial_at = _now_ms() + delay_ms
+        if self._loop is None:
+            tick = min(max(self.config.keepalive_interval_ms / 4.0, 5.0), 250.0)
+            self._loop = EventLoop("msbc-gateway", tick, self._tick)
+            self._loop.start()
+        elif delay_ms <= 0:
+            self._loop.tick_soon()
 
-    def _reconnect_loop(self, delay_ms: float) -> None:
-        while True:
-            if self._stop.wait(delay_ms / 1000.0):
-                break
-            with self._mu:
-                if self._closing:
-                    break
-            if self._try_connect():
-                with self._mu:
-                    self._reconnecting = False
-                    # the link may have died before we cleared the flag
-                    retry = (
-                        self._signal is None
-                        and not self._closing
-                        and self._state is GatewayState.DEGRADED
-                    )
-                if not retry:
-                    return
-                with self._mu:
-                    self._reconnecting = True
-            delay_ms = self._backoff_ms
-            with self._mu:
-                self._backoff_ms = min(self._backoff_ms * 2, self.config.reconnect_max_ms)
-        with self._mu:
-            self._reconnecting = False
-
-    def _try_connect(self) -> bool:
+    def _connect(self, endpoint: str, secure: bool, sig: Link | None) -> None:
+        """Open the signaling link (``sig`` is None) or the payload link of
+        the session on ``sig``. On the loop thread: the connect blocks,
+        outside the lock."""
         cfg = self.config
-        if self.control.blackhole:
-            return False  # the radio is dead; there is nothing to dial with
         try:
             link = Link(
-                cfg.broker_endpoint,
+                endpoint,
                 self.control,
+                self._loop,
                 self._handle_frame,
                 self._link_lost,
+                secure=secure,
                 local_address=cfg.local_address,
-                name="signal",
             )
         except OSError:
-            return False
+            link = None
         with self._mu:
-            if self._closing:
-                link.close()
-                return True  # stop retrying; close() owns the teardown
-            self._signal = link
-            self._state = GatewayState.CONNECTING
-            offer = SessionOffer(
-                security=Security.SECURE if cfg.access is Access.INTERNET else Security.PLAIN,
-                max_frame_size=cfg.max_frame_size,
-                payload_endpoint=link.local_address or "0.0.0.0:0",
-                role=cfg.role,
-                provider=cfg.provider,
-            )
-            self._session, invite = make_invite(
-                cfg.subscriber, cfg.role, cfg.provider, cfg.access, offer, self._txns.next()
-            )
-            self._last_rx_ms = _now_ms()
-            return link.send_frame(invite)
+            if self._closing or self._signal is not sig:
+                if link is not None:
+                    link.close()
+            elif sig is not None and link is None:
+                self._lost_session("payload-connect-failed")
+            elif sig is not None:
+                self._payload = link
+                ping = ControlMessage(Verb.PING, {"Call-ID": self.call_id}, txn=self._txns.next())
+                link.send_frame(ping)
+            elif link is not None:
+                self._dial_at = None
+                self._signal = link
+                self._state = GatewayState.CONNECTING
+                offer = SessionOffer(
+                    security=Security.SECURE if cfg.access is Access.INTERNET else Security.PLAIN,
+                    max_frame_size=cfg.max_frame_size,
+                    payload_endpoint=link.local_address or "0.0.0.0:0",
+                    role=cfg.role,
+                    provider=cfg.provider,
+                )
+                self._session, invite = make_invite(
+                    cfg.subscriber, cfg.role, cfg.provider, cfg.access, offer, self._txns.next()
+                )
+                self._last_rx_ms = _now_ms()
+                link.send_frame(invite)  # a failed write surfaces as a lost link
 
     def _link_lost(self, link: Link) -> None:
-        with self._mu:
-            if self._closing or link not in (self._signal, self._payload):
-                return
+        # the link calls this and _handle_frame with the lock held
+        if not self._closing and link in (self._signal, self._payload):
             self._lost_session("link-lost")
 
     def _lost_session(self, reason: str) -> None:
         # callers hold the lock
-        for link in (self._signal, self._payload):
-            if link is not None:
-                link.close()
-                self._graveyard.append(link)
-        self._signal = None
-        self._payload = None
-        self._drop_session_state()
+        self._drop_session()
         if self._closing:
             return
         if self.config.auto_reconnect:
             self._state = GatewayState.DEGRADED
             self._safe(self.receiver.on_state, GatewayState.DEGRADED)
-            self._spawn_reconnect(self._backoff_ms)
+            self._redial(self._backoff_ms)
         else:
             self._state = GatewayState.CLOSED
             self._open_event.set()
             self._safe(self.receiver.on_state, GatewayState.CLOSED)
 
     def _shutdown(self, reason: str) -> None:
-        self._stop.set()
+        if self._loop is not None:
+            self._loop.stop()  # its sockets close as it ends
         with self._mu:
-            links = [l for l in (self._signal, self._payload) if l is not None]
-            links.extend(self._graveyard)
-            self._graveyard = []
-            self._signal = None
-            self._payload = None
-            self._session = None
-            reports = [d for d, _ in self._pending_reports.values()]
-            self._pending_reports.clear()
-            attaches = list(self._pending_attach.values())
+            self._drop_session()
+            for att in self._pending_attach.values():
+                att._fail(reason)
+            for ev in self._pending_detach.values():
+                ev.set()
             self._pending_attach.clear()
-            detaches = list(self._pending_detach.values())
             self._pending_detach.clear()
-            self._wires.clear()
-            self._by_wire.clear()
-            was = self._state
-            self._state = GatewayState.CLOSED
-        for link in links:
-            link.close()
-            link.reap()
-        for d in reports:
-            d._resolve(DeliveryStatus.PEER_UNAVAILABLE)
-        for att in attaches:
-            att._fail(reason)
-        for ev in detaches:
-            ev.set()
-        self._open_event.set()
-        if was is not GatewayState.CLOSED:
-            self._safe(self.receiver.on_state, GatewayState.CLOSED)
+            was, self._state = self._state, GatewayState.CLOSED
+            self._open_event.set()
+            if was is not GatewayState.CLOSED:
+                self._safe(self.receiver.on_state, GatewayState.CLOSED)
 
     # ------------------------------------------------------- frame dispatch
 
     def _handle_frame(self, link: Link, frame: Frame) -> None:
-        with self._mu:
-            if link is not self._signal and link is not self._payload:
-                return  # a ghost from an abandoned connection
-            self._last_rx_ms = _now_ms()
-            if isinstance(frame, SignalMessage):
-                if link is self._signal:
-                    self._handle_signal(frame)
-            elif isinstance(frame, ControlMessage):
-                self._handle_control(link, frame)
-            elif isinstance(frame, WirePacket):
-                self._handle_packet(link, frame)
-            elif isinstance(frame, DeliveryReport):
-                self._handle_report(frame)
+        if link is not self._signal and link is not self._payload:
+            return  # a ghost from an abandoned connection
+        self._last_rx_ms = _now_ms()
+        if isinstance(frame, SignalMessage):
+            if link is self._signal:
+                self._handle_signal(frame)
+        elif isinstance(frame, ControlMessage):
+            self._handle_control(link, frame)
+        elif isinstance(frame, WirePacket):
+            self._handle_packet(link, frame)
+        elif isinstance(frame, DeliveryReport):
+            self._handle_report(frame)
 
     def _handle_signal(self, msg: SignalMessage) -> None:
         sess = self._session
@@ -615,7 +569,8 @@ class Gateway:
                 if sig is not None:
                     sig.send_frame(action.msg)
             elif isinstance(action, OpenPayload):
-                self._open_payload(action.channel)
+                self._payload_channel = action.channel  # the tick connects it
+                self._loop.tick_soon()
             elif isinstance(action, DialogRejected):
                 rejected = action
         if rejected is not None:
@@ -628,28 +583,6 @@ class Gateway:
                 self._bye_done.set()
             else:
                 self._lost_session("closed-by-peer")
-
-    def _open_payload(self, channel) -> None:
-        sess = self._session
-        if sess is None:
-            return
-        secure = channel.security is Security.SECURE
-        try:
-            self._payload = Link(
-                channel.payload_endpoint,
-                self.control,
-                self._handle_frame,
-                self._link_lost,
-                secure=secure,
-                local_address=self.config.local_address,
-                name="payload",
-            )
-        except OSError:
-            self._lost_session("payload-connect-failed")
-            return
-        self._payload.send_frame(
-            ControlMessage(Verb.PING, {"Call-ID": sess.call_id}, txn=self._txns.next())
-        )
 
     def _handle_control(self, link: Link, msg: ControlMessage) -> None:
         verb = msg.verb
@@ -780,34 +713,38 @@ class Gateway:
             return
         entry[0]._resolve(_STATUS_MAP.get(rpt.status, DeliveryStatus.PEER_UNAVAILABLE))
 
-    # ----------------------------------------------------------------- timer
+    # ------------------------------------------------------------------ tick
 
-    def _timer_loop(self) -> None:
+    def _tick(self, now: float) -> None:
         cfg = self.config
-        tick = min(max(cfg.keepalive_interval_ms / 4.0, 5.0), 250.0)
-        while not self._stop.wait(tick / 1000.0):
-            now = _now_ms()
-            fire: list[Delivery] = []
-            with self._mu:
-                for txn in [t for t, (_, dl) in self._pending_reports.items() if now >= dl]:
-                    fire.append(self._pending_reports.pop(txn)[0])
-                if self._state is GatewayState.OPEN and self._session is not None:
-                    verdict = liveness(
-                        self._last_rx_ms, now, cfg.keepalive_interval_ms, cfg.keepalive_misses
-                    )
-                    if verdict is Keepalive.EXPIRED:
-                        self._lost_session("watchdog")
-                    elif (
-                        verdict is Keepalive.SEND_PING
-                        and now - self._last_ping_ms >= cfg.keepalive_interval_ms
-                    ):
-                        self._last_ping_ms = now
-                        self._send_control(Verb.PING, {})
-                elif self._state is GatewayState.CONNECTING:
-                    if now - self._last_rx_ms >= cfg.keepalive_interval_ms * cfg.keepalive_misses:
-                        self._lost_session("connect-timeout")
-            for d in fire:
-                d._resolve(DeliveryStatus.PEER_UNAVAILABLE)
+        target = None
+        with self._mu:
+            for txn in [t for t, (_, dl) in self._pending_reports.items() if now >= dl]:
+                self._pending_reports.pop(txn)[0]._resolve(DeliveryStatus.PEER_UNAVAILABLE)
+            if self._state is GatewayState.OPEN and self._session is not None:
+                verdict = liveness(
+                    self._last_rx_ms, now, cfg.keepalive_interval_ms, cfg.keepalive_misses
+                )
+                if verdict is Keepalive.EXPIRED:
+                    self._lost_session("watchdog")
+                elif (
+                    verdict is Keepalive.SEND_PING
+                    and now - self._last_ping_ms >= cfg.keepalive_interval_ms
+                ):
+                    self._last_ping_ms = now
+                    self._send_control(Verb.PING, {})
+            elif self._state is GatewayState.CONNECTING:
+                if now - self._last_rx_ms >= cfg.keepalive_interval_ms * cfg.keepalive_misses:
+                    self._lost_session("connect-timeout")
+            sig, channel, self._payload_channel = self._signal, self._payload_channel, None
+            if sig is not None and channel is not None:
+                target = (channel.payload_endpoint, channel.security is Security.SECURE)
+            elif sig is None and self._dial_at is not None and now >= self._dial_at:
+                self._dial_at = now + self._backoff_ms  # when to try again, should this fail
+                self._backoff_ms = min(self._backoff_ms * 2, cfg.reconnect_max_ms)
+                target = (cfg.broker_endpoint, False)
+        if target is not None and not self.control.blackhole:  # a dead radio dials nothing
+            self._connect(*target, sig)
 
 
 def open_gateway(

@@ -70,18 +70,10 @@ class BrokerConfig:
     buffer_max_packets: int = 1024
     buffer_max_bytes: int = 4 * 1024 * 1024
     max_frame_size: int = 16384
-    subscriber_id: str = "m2m-is"
-    authorize_timeout_ms: float | None = None
 
     @property
     def silence_budget_ms(self) -> float:
         return self.keepalive_interval_ms * self.keepalive_misses
-
-    @property
-    def authorize_deadline_ms(self) -> float:
-        if self.authorize_timeout_ms is not None:
-            return self.authorize_timeout_ms
-        return self.silence_budget_ms
 
 
 @dataclass
@@ -182,17 +174,7 @@ class Broker:
 
     def on_disconnect(self, conn_id: int, now_ms: float) -> None:
         self.now_ms = now_ms
-        conn = self.conns.pop(conn_id, None)
-        if conn is None or not conn.session_id:
-            return
-        bs = self.sessions.get(conn.session_id)
-        if bs is None:
-            return
-        if conn_id == bs.conn_signal:
-            bs.conn_signal = None
-            self._session_lost(bs, "connection-lost")
-        elif conn_id == bs.conn_payload:
-            bs.conn_payload = None  # session survives a payload drop
+        self._conn_gone(conn_id, self.conns.pop(conn_id, None), "connection-lost")
 
     def on_tick(self, now_ms: float) -> None:
         self.now_ms = now_ms
@@ -354,7 +336,7 @@ class Broker:
                 asgw_id=bs.id,
                 ctid=entry.ctid,
                 wire=wire,
-                deadline_ms=self.now_ms + self.config.authorize_deadline_ms,
+                deadline_ms=self.now_ms + self.config.silence_budget_ms,
             )
             self._send_control(bs, Verb.AUTHORIZE, {"Ctid": entry.ctid, "Wire": str(wire)})
 
@@ -464,7 +446,7 @@ class Broker:
             asgw_id=asgw.id,
             ctid=ctid,
             wire=wire,
-            deadline_ms=self.now_ms + self.config.authorize_deadline_ms,
+            deadline_ms=self.now_ms + self.config.silence_budget_ms,
             requester=bs.id,
         )
         self._send_control(asgw, Verb.AUTHORIZE, {"Ctid": ctid, "Wire": str(wire)})
@@ -639,15 +621,16 @@ class Broker:
             return
         self._touch(bs)
         relay = self.pending_relay.pop((bs.id, rpt.txn), None)
-        if relay is None:
-            return
+        if relay is not None:
+            self._answer_relay(relay, rpt.status)
+
+    def _answer_relay(self, relay: _Relay, status: int) -> None:
         src = self.sessions.get(relay.src_session)
-        if src is None or src.conn_payload is None:
-            return
-        out = DeliveryReport(
-            txn=relay.src_txn, wire=relay.src_wire, seq=relay.src_seq, status=rpt.status
-        )
-        self._send_raw(src.conn_payload, encode_frame(out))
+        if src is not None and src.conn_payload is not None:
+            out = DeliveryReport(
+                txn=relay.src_txn, wire=relay.src_wire, seq=relay.src_seq, status=status
+            )
+            self._send_raw(src.conn_payload, encode_frame(out))
 
     # -- teardown ------------------------------------------------------------
 
@@ -699,21 +682,19 @@ class Broker:
                 asgw = self.sessions.get(pending.asgw_id)
                 if asgw is not None:
                     asgw.allocator.cancel(pending.wire)
+        self._sweep_relays(bs)
+        self._close_session_conns(bs)
+
+    def _sweep_relays(self, bs: _BrokerSession) -> None:
+        """Free every relay through ``bs``'s payload connection, which is
+        gone: packets in flight to it are answered 480 to their source, and
+        reports for its own packets have nowhere to go."""
         for key, relay in list(self.pending_relay.items()):
             if key[0] == bs.id:
                 del self.pending_relay[key]
-                src = self.sessions.get(relay.src_session)
-                if src is not None and src.conn_payload is not None:
-                    out = DeliveryReport(
-                        txn=relay.src_txn,
-                        wire=relay.src_wire,
-                        seq=relay.src_seq,
-                        status=STATUS_PEER_UNAVAILABLE,
-                    )
-                    self._send_raw(src.conn_payload, encode_frame(out))
+                self._answer_relay(relay, STATUS_PEER_UNAVAILABLE)
             elif relay.src_session == bs.id:
                 del self.pending_relay[key]
-        self._close_session_conns(bs)
 
     def _close_session_conns(self, bs: _BrokerSession) -> None:
         for conn_id in (bs.conn_signal, bs.conn_payload):
@@ -759,13 +740,21 @@ class Broker:
         conn = self.conns.pop(conn_id, None)
         self._event("protocol_error", detail=reason)
         self.outbox.close(conn_id)
-        if conn is not None and conn.session_id:
-            bs = self.sessions.get(conn.session_id)
-            if bs is not None and conn_id == bs.conn_signal:
-                bs.conn_signal = None
-                self._session_lost(bs, reason)
-            elif bs is not None and conn_id == bs.conn_payload:
-                bs.conn_payload = None
+        self._conn_gone(conn_id, conn, reason)
+
+    def _conn_gone(self, conn_id: int, conn: _Conn | None, reason: str) -> None:
+        """A closed connection's session loses it: the signal connection
+        ends the session; after a payload connection the session survives
+        and only the relays through it are swept."""
+        bs = self.sessions.get(conn.session_id) if conn is not None and conn.session_id else None
+        if bs is None:
+            return
+        if conn_id == bs.conn_signal:
+            bs.conn_signal = None
+            self._session_lost(bs, reason)
+        elif conn_id == bs.conn_payload:
+            bs.conn_payload = None
+            self._sweep_relays(bs)
 
     def _touch(self, bs: _BrokerSession) -> None:
         bs.session = replace(bs.session, last_activity=self.now_ms)
@@ -780,7 +769,7 @@ class Broker:
             kind="response",
             status=481,
             reason="Call/Transaction Does Not Exist",
-            from_id=self.config.subscriber_id,
+            from_id="m2m-is",
             to_id=msg.from_id,
             call_id=msg.call_id,
             cseq=msg.cseq,

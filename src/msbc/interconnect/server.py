@@ -1,17 +1,14 @@
 """Socket server around the broker core.
 
-Threading model: one thread runs a ``selectors`` event loop that owns every
-non-blocking socket -- the three listeners, every accepted connection, and
-a socketpair that ``stop()`` uses to wake it. Each pass reads one chunk
-from every readable socket into ``Broker.on_bytes``, runs a tick when one
-is due (ticks come from the ``select`` timeout), and then flushes the write
+Threading model: the server runs on one ``msbc.loop.EventLoop`` thread,
+which owns every socket. A pass feeds one chunk from each readable
+connection to ``Broker.on_bytes``; after the tick, it flushes the write
 buffers the outbox appended to, so frames written in one pass leave in one
 ``send``. A connection counts as lost once its unsent bytes pass
 ``buffer_max_bytes`` and no byte has left it for a keepalive interval, so a
 peer that stops reading cannot stall the others, while a large burst to a
 peer that is reading (a parked buffer flushed to a returning provider) is
-sent in full. The core thus runs strictly single-threaded, with no queue
-and no lock.
+sent in full. The core thus runs single-threaded, with no queue and no lock.
 
 Three listeners: signaling, plain payload, and TLS payload. The TLS
 listener uses a fresh self-signed certificate generated at startup, which
@@ -24,11 +21,9 @@ from __future__ import annotations
 
 import ipaddress
 import logging
-import selectors
 import socket
 import ssl
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -37,14 +32,9 @@ from pathlib import Path
 from msbc.interconnect.broker import Broker, BrokerConfig
 from msbc.interconnect.directory import SubscriptionDirectory
 from msbc.interconnect.events import EventLog
+from msbc.loop import READ, WOULD_BLOCK, WRITE, EventLoop, close_quietly, now_ms, receive
 
 log = logging.getLogger("msbc.interconnect")
-
-_RECV_SIZE = 65536
-_READ = selectors.EVENT_READ
-_WRITE = selectors.EVENT_WRITE
-# A non-blocking call that has to wait for the socket; OSError otherwise.
-_WOULD_BLOCK = (BlockingIOError, ssl.SSLWantReadError, ssl.SSLWantWriteError)
 
 
 @dataclass
@@ -74,22 +64,17 @@ class ServerConfig:
         return min(1000.0, max(5.0, self.keepalive_interval_ms / 4))
 
 
-def now_ms() -> float:
-    return time.monotonic() * 1000.0
-
-
 class _Conn:
     """One accepted socket and the bytes the broker has queued for it."""
 
     def __init__(self, conn_id: int, sock: socket.socket, secure: bool, peer: str):
         self.id = conn_id
         self.sock = sock
-        self.secure = secure
         self.peer = peer
         self.handshaking = secure
         self.out = bytearray()
         self.stalled_since: float | None = None  # last progress while bytes wait
-        self.events = _READ
+        self.events = READ
         self.closed = False
 
 
@@ -121,14 +106,10 @@ class BrokerServer:
         self.config = config or ServerConfig()
         self.events = events or EventLog()
         self.broker = Broker(directory, _BufferedOutbox(self), self.config.broker_config(), self.events)
-        self._selector: selectors.BaseSelector | None = None
+        self._loop: EventLoop | None = None
         self._conns: dict[int, _Conn] = {}
         self._dirty: dict[int, _Conn] = {}
         self._next_conn = 0
-        self._own: list[socket.socket] = []  # listeners and the wake pair
-        self._wake_w: socket.socket | None = None
-        self._stopping = False
-        self._thread: threading.Thread | None = None
         self.signal_endpoint = ""
         self.payload_endpoint = ""
         self.payload_tls_endpoint = ""
@@ -137,11 +118,7 @@ class BrokerServer:
 
     def start(self) -> None:
         cfg = self.config
-        self._selector = selectors.DefaultSelector()
-        wake_r, self._wake_w = socket.socketpair()
-        wake_r.setblocking(False)
-        self._own += (wake_r, self._wake_w)
-        self._selector.register(wake_r, _READ, lambda mask: wake_r.recv(4096))
+        self._loop = EventLoop("msbc-broker", cfg.tick_ms, self._tick, self._flush_dirty)
         signal_l = self._listen(cfg.signal_port, None)
         payload_l = self._listen(cfg.payload_port, None)
         tls_l = self._listen(cfg.payload_tls_port, _self_signed_context())
@@ -149,8 +126,7 @@ class BrokerServer:
         self.payload_endpoint = _endpoint_of(payload_l)
         self.payload_tls_endpoint = _endpoint_of(tls_l)
         self.broker.configure_endpoints(self.payload_endpoint, self.payload_tls_endpoint)
-        self._thread = threading.Thread(target=self._run, daemon=True, name="msbc-broker")
-        self._thread.start()
+        self._loop.start()
         log.info(
             "broker up: signal=%s payload=%s payload+tls=%s",
             self.signal_endpoint,
@@ -160,15 +136,8 @@ class BrokerServer:
 
     def stop(self) -> None:
         """Stop the loop and join it; the loop closes every socket it owns."""
-        self._stopping = True
-        if self._thread is None:
-            return
-        try:
-            self._wake_w.send(b"\0")
-        except OSError:
-            pass
-        self._thread.join(timeout=5)
-        self._thread = None
+        if self._loop is not None:
+            self._loop.stop()
 
     def __enter__(self) -> "BrokerServer":
         self.start()
@@ -179,45 +148,19 @@ class BrokerServer:
 
     # -- the event loop ------------------------------------------------------
 
-    def _run(self) -> None:
-        # absolute deadlines: wakeup jitter must not accumulate into drift,
-        # or the watchdog's one-tick detection slack quietly erodes
-        interval = self.config.tick_ms / 1000.0
-        deadline = time.monotonic() + interval
-        try:
-            while not self._stopping:
-                timeout = max(0.0, deadline - time.monotonic())
-                for key, mask in self._selector.select(timeout):
-                    self._guarded(key.data, mask)
-                now = time.monotonic()
-                if now >= deadline:
-                    self._guarded(self.broker.on_tick, now * 1000.0)
-                    # retry (and time out) peers that have stopped reading
-                    self._dirty.update((c.id, c) for c in self._conns.values() if c.out)
-                    deadline += interval
-                    if deadline < now:  # stalled; skip, don't burst
-                        deadline = now + interval
-                while self._dirty:
-                    self._guarded(self._flush, self._dirty.popitem()[1])
-        finally:
-            for conn in list(self._conns.values()):
-                self._close(conn)
-            for sock in self._own:
-                _quiet_close(sock)
-            self._selector.close()
+    def _tick(self, now: float) -> None:
+        self.broker.on_tick(now)
+        # retry (and time out) peers that have stopped reading
+        self._dirty.update((c.id, c) for c in self._conns.values() if c.out)
 
-    @staticmethod
-    def _guarded(handler, arg) -> None:
-        try:
-            handler(arg)
-        except Exception:
-            log.exception("broker event loop: %r failed", handler)
+    def _flush_dirty(self) -> None:
+        while self._dirty:
+            self._flush(self._dirty.popitem()[1])
 
     def _listen(self, port: int, tls: ssl.SSLContext | None) -> socket.socket:
         sock = socket.create_server((self.config.host, port), backlog=64)
         sock.setblocking(False)
-        self._own.append(sock)
-        self._selector.register(sock, _READ, lambda mask: self._accept(sock, tls))
+        self._loop.selector.register(sock, READ, lambda mask: self._accept(sock, tls))
         return sock
 
     def _accept(self, listener: socket.socket, tls: ssl.SSLContext | None) -> None:
@@ -234,7 +177,7 @@ class BrokerServer:
             conn = _Conn(self._next_conn, sock, secure, f"{addr[0]}:{addr[1]}")
             self._next_conn += 1
             self._conns[conn.id] = conn
-            self._selector.register(sock, _READ, lambda mask, c=conn: self._ready(c, mask))
+            self._loop.selector.register(sock, READ, lambda mask, c=conn: self._ready(c, mask))
             if secure:
                 self._handshake(conn)
             else:
@@ -246,50 +189,38 @@ class BrokerServer:
         if conn.handshaking:
             self._handshake(conn)
             return
-        if mask & _WRITE:
+        if mask & WRITE:
             self._flush(conn)
-        if mask & _READ and not conn.closed:
+        if mask & READ and not conn.closed:
             self._read(conn)
 
     def _handshake(self, conn: _Conn) -> None:
         try:
             conn.sock.do_handshake()
-        except ssl.SSLWantReadError:
-            self._watch(conn, _READ)
-            return
-        except ssl.SSLWantWriteError:
-            self._watch(conn, _WRITE)
+        except WOULD_BLOCK as exc:
+            self._watch(conn, WRITE if isinstance(exc, ssl.SSLWantWriteError) else READ)
             return
         except OSError:
             self._lost(conn)
             return
         conn.handshaking = False
-        self._watch(conn, _READ)
+        self._watch(conn, READ)
         self.broker.on_connect(conn.id, secure=True, peer=conn.peer)
         self._read(conn)  # the first frame may have come with the handshake
 
     def _read(self, conn: _Conn) -> None:
         # One chunk per pass, so a peer that never stops sending cannot
-        # starve the others or outrun the unsent-byte check; TLS also drains
-        # what the record layer has already decrypted.
-        while True:
-            try:
-                data = conn.sock.recv(_RECV_SIZE)
-            except _WOULD_BLOCK:
-                return
-            except OSError:
-                data = b""
-            if not data:
-                self._lost(conn)
-                return
+        # starve the others or outrun the unsent-byte check.
+        data = receive(conn.sock)
+        if data == b"":
+            self._lost(conn)
+        elif data is not None:
             self.broker.on_bytes(conn.id, data, now_ms())
-            if conn.closed or not (conn.secure and conn.sock.pending()):
-                return
 
     def _flush(self, conn: _Conn) -> None:
         try:
             sent = conn.sock.send(conn.out) if conn.out else 0
-        except _WOULD_BLOCK:
+        except WOULD_BLOCK:
             sent = 0
         except OSError:
             self._lost(conn)
@@ -306,12 +237,12 @@ class BrokerServer:
             log.warning("connection %d lost: %d unsent bytes", conn.id, len(conn.out))
             self._lost(conn)
             return
-        self._watch(conn, _READ | _WRITE if conn.out else _READ)
+        self._watch(conn, READ | WRITE if conn.out else READ)
 
     def _watch(self, conn: _Conn, events: int) -> None:
         if events != conn.events and not conn.closed:
             conn.events = events
-            self._selector.modify(conn.sock, events, self._selector.get_key(conn.sock).data)
+            self._loop.selector.modify(conn.sock, events, self._loop.selector.get_key(conn.sock).data)
 
     def _lost(self, conn: _Conn) -> None:
         """The peer went away (or stopped reading): tell the broker."""
@@ -331,24 +262,13 @@ class BrokerServer:
         conn.closed = True
         del self._conns[conn.id]
         self._dirty.pop(conn.id, None)
-        self._selector.unregister(conn.sock)
-        _quiet_close(conn.sock)
+        self._loop.unregister(conn.sock)
+        close_quietly(conn.sock)
 
 
 def _endpoint_of(listener: socket.socket) -> str:
     host, port = listener.getsockname()[:2]
     return f"{host}:{port}"
-
-
-def _quiet_close(sock: socket.socket) -> None:
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        sock.close()
-    except OSError:
-        pass
 
 
 def _self_signed_context() -> ssl.SSLContext:

@@ -458,6 +458,22 @@ def test_payload_conn_loss_keeps_session(pair):
     assert (rpt.txn, rpt.status) == (txn, 480)
 
 
+@pytest.mark.parametrize("drop", ["disconnect", "replaced"])
+def test_payload_conn_loss_answers_relays_in_flight(pair, drop):
+    rig, lgw, asgw = pair
+    lw, _ = commission(rig, lgw, asgw, "meter.1")
+    txn = lgw.send(lw, 1, b"in flight")
+    assert isinstance(asgw.payload_frames()[0], WirePacket)
+    if drop == "disconnect":
+        rig.broker.on_disconnect(asgw.payload, rig.now)
+    else:
+        asgw.attach_payload()  # a second PING for the dialog replaces the first
+    assert asgw.session.call_id in rig.broker.sessions
+    rpts = lgw.payload_frames()
+    assert [(r.txn, r.wire, r.seq, r.status) for r in rpts] == [(txn, lw, 1, 480)]
+    assert not rig.broker.pending_relay
+
+
 def test_watchdog_expires_silent_session():
     fast = Rig(keepalive_interval_ms=100, keepalive_misses=3)
     lgw = Gw(fast, "home-gw", Role.LGW)

@@ -175,6 +175,20 @@ def test_open_times_out_when_broker_unreachable():
     assert gw.state is GatewayState.CLOSED
 
 
+def new_threads(before):
+    return [t for t in threading.enumerate() if t not in before]
+
+
+@pytest.mark.parametrize("end", ["close", "abort"])
+def test_gateway_runs_one_thread_joined_on_shutdown(srv, end):
+    before = set(threading.enumerate())
+    gw = open_gateway(gw_config("home-1", Role.LGW, srv))
+    [loop] = new_threads(before)
+    getattr(gw, end)()
+    assert not loop.is_alive()
+    assert new_threads(before) == []
+
+
 def test_context_manager_opens_and_closes(srv):
     with Gateway(gw_config("home-1", Role.LGW, srv)) as gw:
         assert gw.state is GatewayState.OPEN
@@ -294,11 +308,13 @@ def test_transmit_oversized_payload_raises(pair):
         lgw.transmit("meter.a", b"x" * (limit + 1))
 
 
-def test_concurrent_transmitters_all_delivered(pair):
-    _, _, sink, lgw, _ = pair
+@pytest.mark.parametrize("access", [Access.RADIO, Access.INTERNET], ids=["radio", "internet"])
+def test_concurrent_transmitters_all_delivered(srv, access):
+    # Over TLS, several caller threads write one SSLSocket while the loop reads it.
+    sink = Recorder()
+    asgw = open_gateway(gw_config("as-metering", Role.ASGW, srv, provider="metering"), sink)
+    lgw = open_gateway(gw_config("home-1", Role.LGW, srv, access=access))
     ctids = [f"meter.t{i}" for i in range(4)]
-    for ctid in ctids:
-        lgw.attach_device(ctid).wait(5)
     results = []
     lock = threading.Lock()
 
@@ -308,16 +324,23 @@ def test_concurrent_transmitters_all_delivered(pair):
             with lock:
                 results.append(status)
 
-    threads = [threading.Thread(target=pump, args=(c,)) for c in ctids]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert results.count(DeliveryStatus.DELIVERED) == 100
-    assert wait_until(lambda: len(sink.data) == 100)
-    for ctid in ctids:
-        mine = [p.decode() for c, p in sink.data if c == ctid]
-        assert mine == [f"{ctid}:{i}" for i in range(25)]
+    try:
+        for ctid in ctids:
+            lgw.attach_device(ctid).wait(5)
+        threads = [threading.Thread(target=pump, args=(c,)) for c in ctids]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+            assert not t.is_alive()
+        assert results.count(DeliveryStatus.DELIVERED) == 100
+        assert wait_until(lambda: len(sink.data) == 100)
+        for ctid in ctids:
+            mine = [p.decode() for c, p in sink.data if c == ctid]
+            assert mine == [f"{ctid}:{i}" for i in range(25)]
+    finally:
+        lgw.abort()
+        asgw.abort()
 
 
 # -- shutdown ---------------------------------------------------------------
@@ -350,6 +373,30 @@ def test_close_is_idempotent(pair):
     lgw.close()
     lgw.close()
     assert lgw.state is GatewayState.CLOSED
+
+
+def test_close_from_a_callback_says_goodbye_without_waiting(pair):
+    # The callback runs on the loop thread, which is the one that would read
+    # the acks: close() must send its farewell and return at once.
+    srv, asgw, sink, lgw, _ = pair
+    lgw.attach_device("meter.a").wait(5)
+    took = []
+
+    def close_now(ctid, payload):
+        t0 = time.monotonic()
+        asgw.close()
+        took.append(time.monotonic() - t0)
+
+    sink.on_data = close_now
+    lgw.transmit("meter.a", b"last")
+    assert wait_until(lambda: took)
+    assert took[0] < 1.0
+    assert asgw.state is GatewayState.CLOSED
+    assert wait_until(
+        lambda: [e.detail for e in srv.broker.events.snapshot() if e.kind == "session_closed"]
+        == ["bye"]
+    )
+    assert srv.broker.events.count("peer_down") == 0
 
 
 def test_abort_leaves_peer_cleanup_to_the_broker(pair):
@@ -419,6 +466,7 @@ def test_link_recovery_reattaches_automatically(fast_srv):
     asgw = open_gateway(
         gw_config("as-metering", Role.ASGW, fast_srv, provider="metering"), sink
     )
+    before = set(threading.enumerate())
     lgw = open_gateway(
         gw_config("home-1", Role.LGW, fast_srv, keepalive_interval_ms=150.0)
     )
@@ -432,6 +480,7 @@ def test_link_recovery_reattaches_automatically(fast_srv):
         d = lgw.transmit("meter.a", b"back")
         assert d.wait(5) is DeliveryStatus.DELIVERED
         assert wait_until(lambda: (b"back" in [p for _, p in sink.data]))
+        assert len(new_threads(before)) == 1  # reconnecting took no extra thread
     finally:
         lgw.abort()
         asgw.abort()

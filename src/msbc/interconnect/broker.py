@@ -18,7 +18,7 @@ protocol_error, denied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Protocol
 
 from msbc.session import (
@@ -97,6 +97,7 @@ class _BrokerSession:
     allocator: WireAllocator = field(default_factory=WireAllocator)
     releasing: dict[str, int] = field(default_factory=dict)
     last_ping_ms: float = -1e18
+    last_activity: float = 0.0  # now_ms of its last frame; the watchdog reads it
 
 
 @dataclass
@@ -184,10 +185,10 @@ class Broker:
             if state is SessionState.CLOSED:
                 continue
             verdict = liveness(
-                bs.session.last_activity, now_ms, cfg.keepalive_interval_ms, cfg.keepalive_misses
+                bs.last_activity, now_ms, cfg.keepalive_interval_ms, cfg.keepalive_misses
             )
             if verdict is Keepalive.EXPIRED:
-                silent = now_ms - bs.session.last_activity
+                silent = now_ms - bs.last_activity
                 self._event("watchdog_expired", session=bs.id, detail=f"silent_ms={silent:.0f}")
                 self._session_lost(bs, "watchdog")
             elif verdict is Keepalive.SEND_PING and state is SessionState.ESTABLISHED:
@@ -235,7 +236,7 @@ class Broker:
             elif msg.is_request:
                 self._send_raw(conn_id, self._stray_481(msg))
             return
-        self._touch(bs)
+        bs.last_activity = self.now_ms
         before = bs.session.state
         bs.session, actions = on_signal(bs.session, msg, self.now_ms, txn=self.txns.next())
         for action in actions:
@@ -279,6 +280,7 @@ class Broker:
             subscriber=msg.from_id,
             provider=provider,
             conn_signal=conn_id,
+            last_activity=self.now_ms,
         )
         self.sessions[bs.id] = bs
         conn.kind = "signal"
@@ -353,7 +355,7 @@ class Broker:
         if bs is None:
             self._drop_conn(conn_id, "control for dead session")
             return
-        self._touch(bs)
+        bs.last_activity = self.now_ms
         verb = msg.verb
         if verb is Verb.PING:
             self._send_control(bs, Verb.PONG, dict(msg.params), conn_id=conn_id)
@@ -403,7 +405,7 @@ class Broker:
         conn.kind = "payload"
         conn.session_id = call_id
         bs.conn_payload = conn_id
-        self._touch(bs)
+        bs.last_activity = self.now_ms
         self._send_raw(
             conn_id,
             encode_frame(
@@ -547,7 +549,7 @@ class Broker:
         if bs is None:
             self._drop_conn(conn_id, "data for dead session")
             return
-        self._touch(bs)
+        bs.last_activity = self.now_ms
         negotiated = bs.session.negotiated
         if negotiated is not None and len(pkt.payload) > negotiated.max_frame_size:
             self._session_protocol_error(bs, "frame-too-large")
@@ -619,7 +621,7 @@ class Broker:
         bs = self.sessions.get(conn.session_id)
         if bs is None:
             return
-        self._touch(bs)
+        bs.last_activity = self.now_ms
         relay = self.pending_relay.pop((bs.id, rpt.txn), None)
         if relay is not None:
             self._answer_relay(relay, rpt.status)
@@ -755,9 +757,6 @@ class Broker:
         elif conn_id == bs.conn_payload:
             bs.conn_payload = None
             self._sweep_relays(bs)
-
-    def _touch(self, bs: _BrokerSession) -> None:
-        bs.session = replace(bs.session, last_activity=self.now_ms)
 
     def _event(
         self, kind: str, session: str = "", ctid: str = "", wire: int = -1, detail: str = ""

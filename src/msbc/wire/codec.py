@@ -16,35 +16,59 @@ Payloads are length-prefixed, never sentinel-scanned, so packet bytes may
 contain CR, LF or anything else. The encoder emits headers in the canonical
 order above; the decoder accepts any header order and ignores unknown keys
 (for CONTROL, unrecognized keys are the verb params).
+
+Validation happens once per field. The parser checks every field that
+arrives from a peer as it builds the frame: the header block's caps and
+printability, the start line, each header line, the numbers, the enums and
+each kind's own rules (a SIGNAL's dialog rules are SignalMessage.validate's).
+It does not validate the frames it builds a second time. encode_frame
+validates the frame it is given, which the broker and the SDK build from
+their own values.
 """
 
 from __future__ import annotations
 
+import re
+
 from msbc.wire.types import (
     Access,
     ControlMessage,
+    CTID_MAX_LEN,
     DeliveryReport,
     Frame,
     FrameKind,
     InvalidFrame,
     MAX_FRAME_SIZE,
+    MAX_SEQ,
+    MAX_WIRE_ID,
     Method,
+    REPORT_STATUSES,
     Role,
     Security,
     SessionOffer,
     SignalMessage,
+    TXN_MAX_LEN,
+    TXN_MIN_LEN,
     Verb,
     WirePacket,
     is_token,
+    validate_verb_params,
 )
-
-CRLF = b"\r\n"
 
 MAX_LINE_BYTES = 4096
 MAX_HEADER_COUNT = 64
 
-_NUMERIC_SEND = ("Wire", "Seq", "Length")
-_NUMERIC_REPORT = ("Wire", "Seq", "Status")
+_KINDS = {kind.value: kind for kind in FrameKind}
+_VERBS = {verb.value: verb for verb in Verb}
+
+# A whole header block in one match: the start line, then "key: value" lines
+# with a token key, every character printable ASCII. _refuse says which line
+# is wrong when it does not match.
+_BLOCK = re.compile(
+    r"MSBC (%s) ([A-Za-z0-9._-]{%d,%d})((?:\r\n[A-Za-z0-9._-]{1,%d}: [ -~]*)*)"
+    % ("|".join(_KINDS), TXN_MIN_LEN, TXN_MAX_LEN, CTID_MAX_LEN)
+)
+_HEADER = re.compile(r"\r\n([^:]+): ([^\r]*)")  # the header lines of a matched block
 
 
 class ProtocolViolation(Exception):
@@ -60,60 +84,43 @@ def encode_frame(frame: Frame) -> bytes:
     """Serialize a frame to its exact wire bytes; raises InvalidFrame."""
     frame.validate()
     if isinstance(frame, WirePacket):
-        head = _head(FrameKind.SEND, frame.txn)
-        head += _header("Wire", frame.wire)
-        head += _header("Seq", frame.seq)
-        head += _header("Length", len(frame.payload))
-        return head + CRLF + frame.payload + CRLF
+        return b"MSBC SEND %b\r\nWire: %d\r\nSeq: %d\r\nLength: %d\r\n\r\n%b\r\n" % (
+            frame.txn.encode("ascii"), frame.wire, frame.seq, len(frame.payload), frame.payload
+        )
     if isinstance(frame, DeliveryReport):
-        head = _head(FrameKind.REPORT, frame.txn)
-        head += _header("Wire", frame.wire)
-        head += _header("Seq", frame.seq)
-        head += _header("Status", frame.status)
-        return head + CRLF
+        return b"MSBC REPORT %b\r\nWire: %d\r\nSeq: %d\r\nStatus: %d\r\n\r\n" % (
+            frame.txn.encode("ascii"), frame.wire, frame.seq, frame.status
+        )
     if isinstance(frame, ControlMessage):
-        head = _head(FrameKind.CONTROL, frame.txn)
-        head += _header("Wire", 0)
-        head += _header("Verb", frame.verb.value)
-        for key, value in frame.params.items():
-            head += _header(key, value)
-        return head + CRLF
+        params = "".join(["%s: %s\r\n" % item for item in frame.params.items()])
+        text = "MSBC CONTROL %s\r\nWire: 0\r\nVerb: %s\r\n%s\r\n" % (
+            frame.txn, frame.verb.value, params
+        )
+        return text.encode("ascii")
     if isinstance(frame, SignalMessage):
-        head = _head(FrameKind.SIGNAL, frame.txn)
         if frame.is_request:
-            head += _header("Method", frame.method.value)
+            opening = "Method: %s" % frame.method.value
         else:
-            head += _header("Status", frame.status)
-            head += _header("Reason", frame.reason)
-        head += _header("From", frame.from_id)
-        head += _header("To", frame.to_id)
-        head += _header("Call-ID", frame.call_id)
-        head += _header("CSeq", frame.cseq)
-        head += _header("Access-Type", frame.access.value)
+            opening = "Status: %d\r\nReason: %s" % (frame.status, frame.reason)
         body = encode_offer(frame.body) if frame.body is not None else b""
-        head += _header("Length", len(body))
-        return head + CRLF + body + CRLF
+        text = (
+            "MSBC SIGNAL %s\r\n%s\r\nFrom: %s\r\nTo: %s\r\nCall-ID: %s\r\nCSeq: %d\r\n"
+            "Access-Type: %s\r\nLength: %d\r\n\r\n"
+        ) % (
+            frame.txn, opening, frame.from_id, frame.to_id, frame.call_id, frame.cseq,
+            frame.access.value, len(body),
+        )
+        return text.encode("ascii") + body + b"\r\n"
     raise InvalidFrame(f"not a frame: {frame!r}")
 
 
 def encode_offer(offer: SessionOffer) -> bytes:
-    lines = [
-        _header("security", offer.security.value),
-        _header("max-frame-size", offer.max_frame_size),
-        _header("payload-endpoint", offer.payload_endpoint),
-        _header("role", offer.role.value),
-    ]
+    text = "security: %s\r\nmax-frame-size: %d\r\npayload-endpoint: %s\r\nrole: %s\r\n" % (
+        offer.security.value, offer.max_frame_size, offer.payload_endpoint, offer.role.value
+    )
     if offer.provider is not None:
-        lines.append(_header("provider", offer.provider))
-    return b"".join(lines)
-
-
-def _head(kind: FrameKind, txn: str) -> bytes:
-    return f"MSBC {kind.value} {txn}".encode("ascii") + CRLF
-
-
-def _header(key: str, value) -> bytes:
-    return f"{key}: {value}".encode("ascii") + CRLF
+        text += "provider: %s\r\n" % offer.provider
+    return text.encode("ascii")
 
 
 class StreamParser:
@@ -121,10 +128,13 @@ class StreamParser:
 
     Feed arbitrary chunks; complete frames come back in order, partial frames
     stay buffered. State is single-owner and never shared between connections.
+    A frame's header block is found with one search and checked as a whole;
+    a block still arriving has its complete lines checked and its last line
+    capped, so a peer cannot make the parser buffer without limit.
     """
 
     def __init__(self, max_payload: int = MAX_FRAME_SIZE):
-        self.max_payload = max_payload
+        self.max_payload = min(max_payload, MAX_FRAME_SIZE)
         self._buf = bytearray()
         self._consumed = 0  # absolute offset of the first unconsumed byte
 
@@ -138,233 +148,216 @@ class StreamParser:
 
     def feed(self, data: bytes) -> list[Frame]:
         """Buffer data and return every newly completed frame."""
-        self._buf.extend(data)
+        buf = self._buf
+        buf += data
         frames: list[Frame] = []
-        while True:
-            frame, used = self._parse_one()
+        pos = 0
+        while pos < len(buf):
+            frame, pos_after = self._parse_one(pos)
             if frame is None:
                 break
             frames.append(frame)
-            del self._buf[:used]
-            self._consumed += used
+            pos = pos_after
+        if pos:
+            del buf[:pos]
+            self._consumed += pos
         return frames
 
-    def _parse_one(self) -> tuple[Frame | None, int]:
-        start = self._consumed
-        pos = 0
-        line, pos = self._line(pos)
-        if line is None:
+    def _parse_one(self, pos: int) -> tuple[Frame | None, int]:
+        buf = self._buf
+        start = self._consumed + pos
+        head_end = buf.find(b"\r\n\r\n", pos)
+        if head_end < 0:
+            cut = buf.rfind(b"\r\n", pos)
+            if cut >= 0:
+                _head(start, buf[pos:cut])
+            tail = cut + 2 if cut >= 0 else pos
+            if len(buf) - tail > MAX_LINE_BYTES:
+                raise ProtocolViolation(self._consumed + tail, "header line too long")
             return None, 0
-        parts = line.split(" ")
-        if len(parts) != 3 or parts[0] != "MSBC":
-            raise ProtocolViolation(start, f"bad start line: {line!r}")
-        try:
-            kind = FrameKind(parts[1])
-        except ValueError:
-            raise ProtocolViolation(start, f"unknown frame kind: {parts[1]!r}") from None
-        txn = parts[2]
-        if not is_token(txn, 8, 32):
-            raise ProtocolViolation(start, f"bad txn id: {txn!r}")
-
-        pairs: list[tuple[str, str]] = []
-        while True:
-            if len(pairs) > MAX_HEADER_COUNT:
-                raise ProtocolViolation(start, "too many headers")
-            line, pos = self._line(pos)
-            if line is None:
-                return None, 0
-            if line == "":
-                break
-            key, sep, value = line.partition(": ")
-            if not sep or not is_token(key):
-                raise ProtocolViolation(start, f"bad header line: {line!r}")
-            pairs.append((key, value))
-
+        kind, txn, pairs = _head(start, buf[pos:head_end])
+        end = head_end + 4
         if kind is FrameKind.CONTROL:
-            headers = {}
-        else:
-            headers = {}
-            for key, value in pairs:
-                if key in headers:
-                    raise ProtocolViolation(start, f"duplicate header: {key}")
-                headers[key] = value
+            return _control(start, txn, pairs), end
+        headers = _unique(start, pairs, "header")
+        if kind is FrameKind.REPORT:
+            wire = _number(start, headers, "Wire", MAX_WIRE_ID)
+            seq = _number(start, headers, "Seq", MAX_SEQ)
+            status = _number(start, headers, "Status", 999)
+            if seq == 0:
+                raise ProtocolViolation(start, "invalid seq: 0")
+            if status not in REPORT_STATUSES:
+                raise ProtocolViolation(start, f"invalid report status: {status}")
+            return DeliveryReport(txn, wire, seq, status), end
+        length = _number(start, headers, "Length", self.max_payload)
+        if len(buf) < end + length + 2:
+            return None, 0
+        payload = bytes(buf[end : end + length])
+        end += length
+        if buf[end : end + 2] != b"\r\n":
+            raise ProtocolViolation(self._consumed + end, "missing payload terminator")
+        if kind is FrameKind.SEND:
+            wire = _number(start, headers, "Wire", MAX_WIRE_ID)
+            seq = _number(start, headers, "Seq", MAX_SEQ)
+            if seq == 0:
+                raise ProtocolViolation(start, "invalid seq: 0")
+            return WirePacket(txn, wire, seq, payload), end + 2
+        return _signal(start, txn, headers, payload), end + 2
 
-        if kind in (FrameKind.SEND, FrameKind.SIGNAL):
-            length = self._number(start, headers, "Length", self.max_payload)
-            if len(self._buf) - pos < length + 2:
-                if length > self.max_payload:
-                    raise ProtocolViolation(start, "payload too long")
-                return None, 0
-            payload = bytes(self._buf[pos : pos + length])
-            pos += length
-            if self._buf[pos : pos + 2] != CRLF:
-                raise ProtocolViolation(start + pos, "missing payload terminator")
-            pos += 2
-        else:
-            payload = b""
 
-        if kind is FrameKind.CONTROL:
-            frame: Frame = self._build_control(start, txn, pairs)
-        else:
-            frame = self._build(start, kind, txn, headers, payload)
-        return frame, pos
+def _head(start: int, block: bytearray) -> tuple[FrameKind, str, list[tuple[str, str]]]:
+    """Check the complete lines of a header block: the start line, then at
+    most MAX_HEADER_COUNT header lines, each printable ASCII within
+    MAX_LINE_BYTES. ``start`` is the block's offset in the stream."""
+    # A byte over 0x7F decodes to a lone surrogate, which _BLOCK refuses.
+    text = block.decode("ascii", "surrogateescape")
+    match = _BLOCK.fullmatch(text)
+    if match is None or len(text) > MAX_LINE_BYTES:
+        _refuse(start, text)
+    pairs = _HEADER.findall(match[3])
+    if len(pairs) > MAX_HEADER_COUNT:
+        raise ProtocolViolation(start, "too many headers")
+    return _KINDS[match[1]], match[2], pairs
 
-    def _line(self, pos: int) -> tuple[str | None, int]:
-        end = self._buf.find(CRLF, pos)
-        if end < 0:
-            if len(self._buf) - pos > MAX_LINE_BYTES:
-                raise ProtocolViolation(self._consumed + pos, "header line too long")
-            return None, pos
-        if end - pos > MAX_LINE_BYTES:
-            raise ProtocolViolation(self._consumed + pos, "header line too long")
-        raw = self._buf[pos:end]
-        if any(b < 0x20 or b > 0x7E for b in raw):
-            raise ProtocolViolation(self._consumed + pos, "non-printable byte in header")
-        return raw.decode("ascii"), end + 2
 
-    def _number(self, start: int, headers: dict[str, str], key: str, cap: int) -> int:
-        value = headers.get(key)
-        if value is None:
+def _refuse(start: int, text: str) -> None:
+    """Raise what is wrong with a header block that _BLOCK did not match or
+    that is long, checking one line at a time; return if nothing is."""
+    lines = text.split("\r\n")
+    at = start
+    for i, line in enumerate(lines[: MAX_HEADER_COUNT + 2]):
+        if len(line) > MAX_LINE_BYTES:
+            raise ProtocolViolation(at, "header line too long")
+        if not line.isprintable():
+            raise ProtocolViolation(at, "non-printable byte in header")
+        at += len(line) + 2
+        if i == 0:
+            parts = line.split(" ")
+            if len(parts) != 3 or parts[0] != "MSBC":
+                raise ProtocolViolation(start, f"bad start line: {line!r}")
+            if parts[1] not in _KINDS:
+                raise ProtocolViolation(start, f"unknown frame kind: {parts[1]!r}")
+            if not is_token(parts[2], TXN_MIN_LEN, TXN_MAX_LEN):
+                raise ProtocolViolation(start, f"bad txn id: {parts[2]!r}")
+            continue
+        key, sep, _ = line.partition(": ")
+        if not sep or not is_token(key):
+            raise ProtocolViolation(start, f"bad header line: {line!r}")
+    if len(lines) > MAX_HEADER_COUNT + 1:
+        raise ProtocolViolation(start, "too many headers")
+
+
+def _unique(start: int, pairs: list[tuple[str, str]], what: str) -> dict[str, str]:
+    fields = dict(pairs)
+    if len(fields) < len(pairs):
+        keys = [key for key, _ in pairs]
+        dup = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ProtocolViolation(start, f"duplicate {what}: {dup}")
+    return fields
+
+
+def _number(start: int, headers: dict[str, str], key: str, cap: int) -> int:
+    value = headers.get(key)
+    if value is None:
+        raise ProtocolViolation(start, f"missing {key} header")
+    if not (value == "0" or (value.isdigit() and not value.startswith("0"))):
+        raise ProtocolViolation(start, f"bad {key} value: {value!r}")
+    number = int(value)
+    if number > cap:
+        raise ProtocolViolation(start, f"{key} out of range: {number}")
+    return number
+
+
+def _control(start: int, txn: str, pairs: list[tuple[str, str]]) -> ControlMessage:
+    # Positional grammar: Wire then Verb, every later line one verb param.
+    # A later "Wire" line is the wire param of COMMISSIONED/AUTHORIZED,
+    # distinct from the service-wire header.
+    if len(pairs) < 2 or pairs[0][0] != "Wire" or pairs[1][0] != "Verb":
+        raise ProtocolViolation(start, "control headers must start Wire, Verb")
+    if pairs[0][1] != "0":
+        raise ProtocolViolation(start, "control frame off the service wire")
+    verb = _VERBS.get(pairs[1][1])
+    if verb is None:
+        raise ProtocolViolation(start, f"unknown verb: {pairs[1][1]!r}")
+    params = _unique(start, pairs[2:], "param")
+    try:
+        validate_verb_params(verb, params)
+    except InvalidFrame as exc:
+        raise ProtocolViolation(start, str(exc)) from None
+    return ControlMessage(verb, params, txn)
+
+
+def _signal(start: int, txn: str, headers: dict[str, str], payload: bytes) -> SignalMessage:
+    for key in ("From", "To", "Call-ID", "Access-Type"):
+        if key not in headers:
             raise ProtocolViolation(start, f"missing {key} header")
-        if not (value == "0" or (value.isdigit() and not value.startswith("0"))):
-            raise ProtocolViolation(start, f"bad {key} value: {value!r}")
-        number = int(value)
-        if number > cap:
-            raise ProtocolViolation(start, f"{key} out of range: {number}")
-        return number
-
-    def _build(
-        self,
-        start: int,
-        kind: FrameKind,
-        txn: str,
-        headers: dict[str, str],
-        payload: bytes,
-    ) -> Frame:
+    cseq = _number(start, headers, "CSeq", 0x7FFFFFFF)
+    try:
+        access = Access(headers["Access-Type"])
+    except ValueError:
+        raise ProtocolViolation(start, f"bad Access-Type: {headers['Access-Type']!r}") from None
+    common = dict(
+        from_id=headers["From"],
+        to_id=headers["To"],
+        call_id=headers["Call-ID"],
+        cseq=cseq,
+        access=access,
+        body=_offer(start, payload) if payload else None,
+        txn=txn,
+    )
+    if "Method" in headers:
+        if "Status" in headers:
+            raise ProtocolViolation(start, "signal carries both Method and Status")
         try:
-            if kind is FrameKind.SEND:
-                wire = self._number(start, headers, "Wire", 0xFFFFFFFF)
-                seq = self._number(start, headers, "Seq", 0xFFFFFFFFFFFFFFFF)
-                return WirePacket(txn=txn, wire=wire, seq=seq, payload=payload).validate()
-            if kind is FrameKind.REPORT:
-                wire = self._number(start, headers, "Wire", 0xFFFFFFFF)
-                seq = self._number(start, headers, "Seq", 0xFFFFFFFFFFFFFFFF)
-                status = self._number(start, headers, "Status", 999)
-                return DeliveryReport(txn=txn, wire=wire, seq=seq, status=status).validate()
-            return self._build_signal(start, txn, headers, payload)
-        except InvalidFrame as exc:
-            raise ProtocolViolation(start, str(exc)) from None
-
-    def _build_control(
-        self, start: int, txn: str, pairs: list[tuple[str, str]]
-    ) -> ControlMessage:
-        # Positional grammar: Wire then Verb, every later line one verb param.
-        # A later "Wire" line is the wire param of COMMISSIONED/AUTHORIZED,
-        # distinct from the service-wire header.
-        if len(pairs) < 2 or pairs[0][0] != "Wire" or pairs[1][0] != "Verb":
-            raise ProtocolViolation(start, "control headers must start Wire, Verb")
-        if pairs[0][1] != "0":
-            raise ProtocolViolation(start, "control frame off the service wire")
-        try:
-            verb = Verb(pairs[1][1])
+            method = Method(headers["Method"])
         except ValueError:
-            raise ProtocolViolation(start, f"unknown verb: {pairs[1][1]!r}") from None
-        params: dict[str, str] = {}
-        for key, value in pairs[2:]:
-            if key in params:
-                raise ProtocolViolation(start, f"duplicate param: {key}")
-            params[key] = value
-        try:
-            return ControlMessage(verb=verb, params=params, txn=txn).validate()
-        except InvalidFrame as exc:
-            raise ProtocolViolation(start, str(exc)) from None
-
-    def _build_signal(
-        self, start: int, txn: str, headers: dict[str, str], payload: bytes
-    ) -> SignalMessage:
-        for key in ("From", "To", "Call-ID", "Access-Type"):
-            if key not in headers:
-                raise ProtocolViolation(start, f"missing {key} header")
-        cseq = self._number(start, headers, "CSeq", 0x7FFFFFFF)
-        try:
-            access = Access(headers["Access-Type"])
-        except ValueError:
-            raise ProtocolViolation(
-                start, f"bad Access-Type: {headers['Access-Type']!r}"
-            ) from None
-        body = self._parse_offer(start, payload) if payload else None
-
-        if "Method" in headers:
-            if "Status" in headers:
-                raise ProtocolViolation(start, "signal carries both Method and Status")
-            try:
-                method = Method(headers["Method"])
-            except ValueError:
-                raise ProtocolViolation(start, f"unknown method: {headers['Method']!r}") from None
-            msg = SignalMessage(
-                kind="request",
-                method=method,
-                from_id=headers["From"],
-                to_id=headers["To"],
-                call_id=headers["Call-ID"],
-                cseq=cseq,
-                access=access,
-                body=body,
-                txn=txn,
-            )
-        elif "Status" in headers:
-            status = self._number(start, headers, "Status", 699)
-            reason = headers.get("Reason")
-            if reason is None:
-                raise ProtocolViolation(start, "missing Reason header")
-            msg = SignalMessage(
-                kind="response",
-                status=status,
-                reason=reason,
-                from_id=headers["From"],
-                to_id=headers["To"],
-                call_id=headers["Call-ID"],
-                cseq=cseq,
-                access=access,
-                body=body,
-                txn=txn,
-            )
-        else:
-            raise ProtocolViolation(start, "signal carries neither Method nor Status")
+            raise ProtocolViolation(start, f"unknown method: {headers['Method']!r}") from None
+        msg = SignalMessage(kind="request", method=method, **common)
+    elif "Status" in headers:
+        status = _number(start, headers, "Status", 699)
+        if "Reason" not in headers:
+            raise ProtocolViolation(start, "missing Reason header")
+        msg = SignalMessage(kind="response", status=status, reason=headers["Reason"], **common)
+    else:
+        raise ProtocolViolation(start, "signal carries neither Method nor Status")
+    try:
         return msg.validate()
+    except InvalidFrame as exc:
+        raise ProtocolViolation(start, str(exc)) from None
 
-    def _parse_offer(self, start: int, payload: bytes) -> SessionOffer:
-        if any(b < 0x20 or b > 0x7E for b in payload.replace(CRLF, b"")):
-            raise ProtocolViolation(start, "non-printable byte in offer body")
-        if not payload.endswith(CRLF):
-            raise ProtocolViolation(start, "offer body not CRLF-terminated")
-        fields: dict[str, str] = {}
-        for raw in payload[:-2].split(CRLF):
-            line = raw.decode("ascii")
-            key, sep, value = line.partition(": ")
-            if not sep or not key:
-                raise ProtocolViolation(start, f"bad offer line: {line!r}")
-            if key in fields:
-                raise ProtocolViolation(start, f"duplicate offer key: {key}")
-            fields[key] = value
-        for key in ("security", "max-frame-size", "payload-endpoint", "role"):
-            if key not in fields:
-                raise ProtocolViolation(start, f"missing offer key: {key}")
-        try:
-            security = Security(fields["security"])
-            role = Role(fields["role"])
-        except ValueError as exc:
-            raise ProtocolViolation(start, f"bad offer enum: {exc}") from None
-        size = fields["max-frame-size"]
-        if not size.isdigit() or (size != "0" and size.startswith("0")):
-            raise ProtocolViolation(start, f"bad max-frame-size: {size!r}")
-        return SessionOffer(
-            security=security,
-            max_frame_size=int(size),
-            payload_endpoint=fields["payload-endpoint"],
-            role=role,
-            provider=fields.get("provider"),
-        )
+
+def _offer(start: int, payload: bytes) -> SessionOffer:
+    text = payload.decode("ascii", "surrogateescape")
+    if not text.replace("\r\n", "").isprintable():
+        raise ProtocolViolation(start, "non-printable byte in offer body")
+    if not text.endswith("\r\n"):
+        raise ProtocolViolation(start, "offer body not CRLF-terminated")
+    fields: dict[str, str] = {}
+    for line in text[:-2].split("\r\n"):
+        key, sep, value = line.partition(": ")
+        if not sep or not key:
+            raise ProtocolViolation(start, f"bad offer line: {line!r}")
+        if key in fields:
+            raise ProtocolViolation(start, f"duplicate offer key: {key}")
+        fields[key] = value
+    for key in ("security", "max-frame-size", "payload-endpoint", "role"):
+        if key not in fields:
+            raise ProtocolViolation(start, f"missing offer key: {key}")
+    try:
+        security = Security(fields["security"])
+        role = Role(fields["role"])
+    except ValueError as exc:
+        raise ProtocolViolation(start, f"bad offer enum: {exc}") from None
+    size = fields["max-frame-size"]
+    if not size.isdigit() or (size != "0" and size.startswith("0")):
+        raise ProtocolViolation(start, f"bad max-frame-size: {size!r}")
+    return SessionOffer(
+        security=security,
+        max_frame_size=int(size),
+        payload_endpoint=fields["payload-endpoint"],
+        role=role,
+        provider=fields.get("provider"),
+    )
 
 
 def decode_stream(buffer: bytes, max_payload: int = MAX_FRAME_SIZE) -> tuple[list[Frame], int]:

@@ -109,6 +109,16 @@ CTID_VERBS = frozenset(
 WIRE_VERBS = frozenset({Verb.COMMISSIONED, Verb.AUTHORIZED})
 
 
+def validate_verb_params(verb: Verb, params: dict[str, str]) -> None:
+    """The params a verb requires: a ctid, and with a wire grant its wire id."""
+    if verb in CTID_VERBS:
+        validate_ctid(params.get("Ctid", ""))
+    if verb in WIRE_VERBS:
+        wire = params.get("Wire")
+        if wire is None or not _decimal(wire):
+            raise InvalidFrame(f"{verb.value} requires a numeric Wire param")
+
+
 class Method(str, Enum):
     INVITE = "INVITE"
     ACK = "ACK"
@@ -130,7 +140,7 @@ class Role(str, Enum):
     ASGW = "asgw"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WirePacket:
     """Payload frame on a bearer wire; seq is per-wire, per-direction, from 1."""
 
@@ -151,7 +161,7 @@ class WirePacket:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliveryReport:
     """End-to-end acknowledgment for one WirePacket, matched by (txn, wire, seq)."""
 
@@ -170,7 +180,7 @@ class DeliveryReport:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControlMessage:
     """Service-wire verb with ordered string params; always travels on wire 0."""
 
@@ -187,12 +197,7 @@ class ControlMessage:
                 raise InvalidFrame(f"invalid param key: {key!r}")
             if not isinstance(value, str) or not _printable(value):
                 raise InvalidFrame(f"invalid param value for {key}: {value!r}")
-        if self.verb in CTID_VERBS:
-            validate_ctid(self.params.get("Ctid", ""))
-        if self.verb in WIRE_VERBS:
-            wire = self.params.get("Wire")
-            if wire is None or not _decimal(wire):
-                raise InvalidFrame(f"{self.verb.value} requires a numeric Wire param")
+        validate_verb_params(self.verb, self.params)
         return self
 
     @property
@@ -231,7 +236,7 @@ class SessionOffer:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignalMessage:
     """Dialog signaling frame: INVITE/ACK/BYE request or a numbered response."""
 
@@ -283,7 +288,7 @@ Frame = WirePacket | DeliveryReport | ControlMessage | SignalMessage
 
 
 def _printable(value: str) -> bool:
-    return all(0x20 <= ord(ch) <= 0x7E for ch in value)
+    return value.isascii() and value.isprintable()
 
 
 def _decimal(value: str) -> bool:

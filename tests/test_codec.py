@@ -231,6 +231,34 @@ class TestDecode:
             seen.extend(parser.feed(data[i : i + 1]))
         assert seen == frames
 
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            DeliveryReport(txn="t00000001", wire=4, seq=3, status=480),
+            SignalMessage(
+                kind="request",
+                method=Method.INVITE,
+                from_id="house-01",
+                to_id="m2m-is",
+                call_id="c-0001",
+                cseq=1,
+                access=Access.RADIO,
+                body=offer(role=Role.ASGW, provider="grocery"),
+                txn="t00000002",
+            ),
+        ],
+        ids=["report", "signal-invite"],
+    )
+    def test_byte_at_a_time_matches_whole_report_and_signal(self, frame):
+        data = encode_frame(frame) * 2
+        whole, consumed = decode_stream(data)
+        parser = StreamParser()
+        seen = []
+        for i in range(len(data)):
+            seen.extend(parser.feed(data[i : i + 1]))
+        assert seen == whole == [frame, frame]
+        assert parser.consumed == consumed == len(data)
+
     def test_binary_payload_with_terminator_bytes(self):
         payload = b"\r\n" * 10 + b"\x00\x01\x02" + b"MSBC REPORT t00000000\r\n\r\n"
         frame = WirePacket(txn="t00000001", wire=5, seq=2, payload=payload)
@@ -293,6 +321,23 @@ class TestDecode:
         raw = b"MSBC SEND t00000001\r\nWire: 1\r\nSeq: 1\r\nLength: 99999999\r\n\r\n"
         with pytest.raises(ProtocolViolation):
             decode_stream(raw)
+
+    def test_overlong_header_line_refused_without_waiting(self):
+        parser = StreamParser()
+        assert parser.feed(b"MSBC SEND t00000001\r\n" + b"X" * 4096) == []
+        with pytest.raises(ProtocolViolation) as err:
+            parser.feed(b"X")  # 4097 bytes and still no CRLF
+        assert "too long" in err.value.reason
+        assert err.value.offset == len(b"MSBC SEND t00000001\r\n")
+
+    def test_too_many_headers_refused_without_waiting(self):
+        start = b"MSBC CONTROL t00000001\r\nWire: 0\r\nVerb: PING\r\n"
+        parser = StreamParser()
+        assert parser.feed(start + b"Token: x\r\n" * 62) == []  # 64 headers, no blank line
+        with pytest.raises(ProtocolViolation) as err:
+            parser.feed(b"Token: x\r\n")  # the 65th
+        assert "too many headers" in err.value.reason
+        assert err.value.offset == 0
 
     def test_signal_without_method_or_status(self):
         raw = (

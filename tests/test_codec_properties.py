@@ -1,9 +1,11 @@
-"""Property suites for the codec: round trip, chunking equivalence, fuzz."""
+"""Property suites for the codec: round trip, chunking equivalence, fuzz,
+and agreement with the line-by-line reference parser."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_codec import ReferenceParser
 
 from msbc.wire import (
     Access,
@@ -21,6 +23,7 @@ from msbc.wire import (
     decode_stream,
     encode_frame,
 )
+from msbc.wire.types import _printable
 
 token = st.text("ABCdefgh0129._-", min_size=1, max_size=12)
 txn = st.text("abcdef0123456789", min_size=8, max_size=32)
@@ -171,3 +174,169 @@ def test_mutation_fuzz_no_hang():
             decode_stream(bytes(raw))
         except ProtocolViolation:
             pass
+
+
+# -- agreement with the reference parser ---------------------------------------
+#
+# tests/reference_codec.py is the parser as it was before the one-pass
+# rewrite. On every input both must return the same frames, consume the
+# same bytes and refuse the same inputs, at the same chunk, offset and
+# reason.
+
+differential = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+def _outcome(parser, chunks):
+    frames = []
+    for i, chunk in enumerate(chunks):
+        try:
+            frames.extend(parser.feed(chunk))
+        except ProtocolViolation as exc:
+            return frames, ("violation", i, exc.offset, exc.reason)
+    return frames, ("ok", parser.consumed, parser.buffered)
+
+
+def assert_agrees(chunks):
+    ours = _outcome(StreamParser(), chunks)
+    assert ours == _outcome(ReferenceParser(), chunks)
+    return ours
+
+
+@st.composite
+def chunked(draw, data):
+    """``data`` cut into chunks at drawn points."""
+    cuts = sorted(draw(st.lists(st.integers(0, len(data)), max_size=6)))
+    bounds = [0, *cuts, len(data)]
+    return [data[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+# Pieces of the grammar, so random input gets past the start line.
+_soup = st.tuples(
+    st.sampled_from(
+        [b"", *(b"MSBC %s t00000001\r\n" % k for k in (b"SEND", b"REPORT", b"CONTROL", b"SIGNAL"))]
+    ),
+    st.lists(
+        st.sampled_from(
+            [
+                b"\r\n", b"\r", b"\n", b"Wire: ", b"Seq: ", b"Length: ", b"Status: ", b"Verb: ",
+                b"PING", b"Ctid: ", b"Method: INVITE", b"0", b"1", b"2", b"200", b"07", b": ",
+                b" ", b"x", b"\x00", b"\xff",
+            ]
+        ),
+        max_size=30,
+    ).map(b"".join),
+    st.sampled_from([b"", b"\r\n", b"\r\n\r\n", b"\r\n\r\nab\r\n"]),
+).map(b"".join)
+
+
+@given(st.data())
+@differential
+def test_random_bytes_agree_with_reference(data):
+    raw = data.draw(st.one_of(st.binary(max_size=300), _soup))
+    assert_agrees([raw])
+    assert_agrees(data.draw(chunked(raw)))
+
+
+# Header and offer values at and past each field's limits.
+_values = [b"0", b"1", b"07", b"", b"63", b"99", b"480", b"700", b"999", b"1048577",
+           b"4294967296", b"18446744073709551616", b"NOPE", b"a b", b"ACK", b"BYE", b"PING",
+           b"asgw", b"secure", b"host:0"]
+
+
+@st.composite
+def mutated(draw):
+    """An encoded frame after header edits (a value replaced, a line dropped
+    or repeated) or after the flips, deletions and insertions of
+    test_mutation_fuzz_no_hang."""
+    raw = encode_frame(draw(frames))
+    edits = draw(st.integers(0, 2))
+    for _ in range(edits):
+        head, sep, rest = raw.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        i = draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
+        op = draw(st.sampled_from(["value", "value", "drop", "repeat"]))
+        if op == "value":
+            lines[i] = lines[i].partition(b": ")[0] + b": " + draw(st.sampled_from(_values))
+        elif op == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+        raw = b"\r\n".join(lines) + sep + rest
+    raw = bytearray(raw)
+    for _ in range(0 if edits else draw(st.integers(1, 5))):
+        op = draw(st.integers(0, 2))
+        byte = draw(st.integers(0, 255) | st.sampled_from(b"\r\n :0"))
+        if op == 0 and raw:
+            raw[draw(st.integers(0, len(raw) - 1))] = byte
+        elif op == 1 and raw:
+            del raw[draw(st.integers(0, len(raw) - 1))]
+        else:
+            raw.insert(draw(st.integers(0, len(raw))), byte)
+    return bytes(raw)
+
+
+def _single_edits(raw):
+    """Every frame one header or offer line away from ``raw``: the line
+    dropped, repeated, or its value replaced from _values. An offer edit
+    rewrites the Length header to match the new body."""
+    head, _, rest = raw.partition(b"\r\n\r\n")
+    start, *headers = head.split(b"\r\n")
+
+    def edits(lines):
+        for i, line in enumerate(lines):
+            yield lines[:i] + lines[i + 1 :]
+            yield lines[:i] + [line] + lines[i:]
+            for value in _values:
+                yield lines[:i] + [line.partition(b": ")[0] + b": " + value] + lines[i + 1 :]
+
+    def frame(header_lines, tail):
+        return b"\r\n".join([start, *header_lines]) + b"\r\n\r\n" + tail
+
+    for edited in edits(headers):
+        yield frame(edited, rest)
+    if start.startswith(b"MSBC SIGNAL") and rest != b"\r\n":
+        for edited in edits(rest[:-2].split(b"\r\n")[:-1]):
+            body = b"".join(line + b"\r\n" for line in edited)
+            length = b"Length: %d" % len(body)
+            fixed = [length if line.startswith(b"Length: ") else line for line in headers]
+            yield frame(fixed, body + b"\r\n")
+
+
+def test_every_single_edit_agrees_with_reference():
+    caller = SessionOffer(Security.PLAIN, 16384, "127.0.0.1:5070", Role.ASGW, provider="grocery")
+    dialog = dict(from_id="house-01", to_id="m2m-is", call_id="c-0001", cseq=1,
+                  access=Access.RADIO, txn="t00000004")
+    bases = [
+        WirePacket(txn="t00000001", wire=3, seq=1, payload=b"ab"),
+        DeliveryReport(txn="t00000002", wire=3, seq=1, status=200),
+        ControlMessage(Verb.COMMISSIONED, {"Ctid": "meter-1", "Wire": "4"}, txn="t00000003"),
+        SignalMessage(kind="request", method=Method.INVITE, body=caller, **dialog),
+        SignalMessage(kind="response", status=200, reason="OK", body=caller, **dialog),
+    ]
+    refused = 0
+    for base in bases:
+        for raw in _single_edits(encode_frame(base)):
+            refused += assert_agrees([raw])[1][0] == "violation"
+    assert refused > 300  # most edits break a rule
+
+
+@given(mutated(), st.data())
+@differential
+def test_mutated_frames_agree_with_reference(raw, data):
+    assert_agrees([raw])
+    assert_agrees(data.draw(chunked(raw)))
+
+
+@given(st.lists(frames, min_size=1, max_size=4), st.data())
+@differential
+def test_chunked_streams_agree_with_reference(frame_list, data):
+    stream = b"".join(encode_frame(f) for f in frame_list)
+    got, end = assert_agrees(data.draw(chunked(stream)))
+    assert got == frame_list
+    assert end == ("ok", len(stream), 0)
+
+
+@given(st.text())
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_printable_is_printable_ascii(value):
+    assert _printable(value) == all(0x20 <= ord(ch) <= 0x7E for ch in value)

@@ -282,13 +282,3 @@ class ReferenceParser:
             provider=fields.get("provider"),
         )
 
-
-def reference_decode(buffer: bytes, max_payload: int = MAX_FRAME_SIZE) -> tuple[list[Frame], int]:
-    """Parse every complete frame in buffer; returns (frames, bytes consumed).
-
-    Partial trailing frames are never consumed; malformed input raises
-    ProtocolViolation with the offending byte offset.
-    """
-    parser = ReferenceParser(max_payload=max_payload)
-    frames = parser.feed(buffer)
-    return frames, parser.consumed

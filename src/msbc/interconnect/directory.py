@@ -10,6 +10,10 @@ The on-disk form is line oriented:
 A rule pattern is either a full device id (exact match) or a prefix ending
 in ``*``. Lookup prefers an exact rule, then the wildcard rule with the
 longest prefix; ties go to the rule declared first.
+
+Lookup costs one dict probe for an exact rule, then one probe per distinct
+wildcard prefix length in use (at most 65: prefixes are 0 to 64 characters),
+longest first; it does not depend on the number of rules.
 """
 
 from __future__ import annotations
@@ -50,16 +54,17 @@ class RoutingRule:
     def prefix(self) -> str:
         return self.pattern[:-1] if self.is_wildcard else self.pattern
 
-    def matches(self, ctid: str) -> bool:
-        if self.is_wildcard:
-            return ctid.startswith(self.prefix)
-        return ctid == self.pattern
-
 
 @dataclass
 class SubscriptionDirectory:
     providers: dict[str, ProviderRecord] = field(default_factory=dict)
-    rules: list[RoutingRule] = field(default_factory=list)
+    rules: list[RoutingRule] = field(default_factory=list, init=False)
+    # Indexes over ``rules``, kept by add_rule: the provider of the first
+    # exact rule per device id, of the first wildcard rule per prefix, and
+    # the distinct wildcard prefix lengths, longest first.
+    _exact: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _wildcard: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _prefix_lengths: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def add_provider(self, provider_id: str, subscriber: str) -> None:
         if not is_token(provider_id) or not is_token(subscriber):
@@ -72,7 +77,14 @@ class SubscriptionDirectory:
         _check_pattern(pattern)
         if provider_id not in self.providers:
             raise ValueError(f"rule references unknown provider {provider_id}")
-        self.rules.append(RoutingRule(pattern, provider_id))
+        rule = RoutingRule(pattern, provider_id)
+        self.rules.append(rule)
+        if not rule.is_wildcard:
+            self._exact.setdefault(pattern, provider_id)
+            return
+        self._wildcard.setdefault(rule.prefix, provider_id)
+        lengths = {*self._prefix_lengths, len(rule.prefix)}
+        self._prefix_lengths = tuple(sorted(lengths, reverse=True))
 
     def subscriber_provider(self, subscriber: str) -> str | None:
         """Provider id registered for a gateway subscriber id, if any."""
@@ -84,15 +96,14 @@ class SubscriptionDirectory:
 
 def lookup_provider(directory: SubscriptionDirectory, ctid: str) -> str | None:
     """Resolve a device id to its provider, or None when no rule applies."""
-    best: RoutingRule | None = None
-    for rule in directory.rules:
-        if not rule.matches(ctid):
-            continue
-        if not rule.is_wildcard:
-            return rule.provider_id
-        if best is None or len(rule.prefix) > len(best.prefix):
-            best = rule
-    return best.provider_id if best else None
+    provider = directory._exact.get(ctid)
+    if provider is not None:
+        return provider
+    wildcard = directory._wildcard
+    for length in directory._prefix_lengths:
+        if length <= len(ctid) and (provider := wildcard.get(ctid[:length])) is not None:
+            return provider
+    return None
 
 
 def parse_directory(text: str) -> SubscriptionDirectory:

@@ -62,13 +62,20 @@ _KINDS = {kind.value: kind for kind in FrameKind}
 _VERBS = {verb.value: verb for verb in Verb}
 
 # A whole header block in one match: the start line, then "key: value" lines
-# with a token key, every character printable ASCII. _refuse says which line
-# is wrong when it does not match.
+# with a token key, every character printable ASCII. _check_lines says which
+# line is wrong when it does not match.
 _BLOCK = re.compile(
     r"MSBC (%s) ([A-Za-z0-9._-]{%d,%d})((?:\r\n[A-Za-z0-9._-]{1,%d}: [ -~]*)*)"
     % ("|".join(_KINDS), TXN_MIN_LEN, TXN_MAX_LEN, CTID_MAX_LEN)
 )
 _HEADER = re.compile(r"\r\n([^:]+): ([^\r]*)")  # the header lines of a matched block
+
+# What StreamParser keeps of the frame at the front of its buffer between
+# feeds: the buffered length it needs before it is worth parsing again (its
+# header block is complete and its payload is not); or, while its header
+# block is unfinished, the offset before which no terminator starts, and how
+# many bytes and lines of the block were checked.
+_NOTHING_YET = (0, 0, 0, 0)
 
 
 class ProtocolViolation(Exception):
@@ -130,13 +137,17 @@ class StreamParser:
     stay buffered. State is single-owner and never shared between connections.
     A frame's header block is found with one search and checked as a whole;
     a block still arriving has its complete lines checked and its last line
-    capped, so a peer cannot make the parser buffer without limit.
+    capped, so a peer cannot make the parser buffer without limit. What an
+    earlier feed learnt of the frame at the front of the buffer is kept, so
+    each feed looks only at the bytes it adds: a frame trickled in small
+    chunks costs time linear in its size.
     """
 
     def __init__(self, max_payload: int = MAX_FRAME_SIZE):
         self.max_payload = min(max_payload, MAX_FRAME_SIZE)
         self._buf = bytearray()
         self._consumed = 0  # absolute offset of the first unconsumed byte
+        self._partial = _NOTHING_YET
 
     @property
     def consumed(self) -> int:
@@ -158,6 +169,7 @@ class StreamParser:
                 break
             frames.append(frame)
             pos = pos_after
+            self._partial = _NOTHING_YET
         if pos:
             del buf[:pos]
             self._consumed += pos
@@ -166,14 +178,20 @@ class StreamParser:
     def _parse_one(self, pos: int) -> tuple[Frame | None, int]:
         buf = self._buf
         start = self._consumed + pos
-        head_end = buf.find(b"\r\n\r\n", pos)
+        need, searched, checked, lines = self._partial
+        if len(buf) - pos < need:
+            return None, 0
+        head_end = buf.find(b"\r\n\r\n", pos + searched)
         if head_end < 0:
-            cut = buf.rfind(b"\r\n", pos)
+            cut = buf.rfind(b"\r\n", pos + max(checked, searched))
             if cut >= 0:
-                _head(start, buf[pos:cut])
-            tail = cut + 2 if cut >= 0 else pos
-            if len(buf) - tail > MAX_LINE_BYTES:
-                raise ProtocolViolation(self._consumed + tail, "header line too long")
+                text = buf[pos + checked : cut].decode("ascii", "surrogateescape")
+                new_lines = text.split("\r\n")
+                _check_lines(start, start + checked, lines, new_lines)
+                checked, lines = cut + 2 - pos, lines + len(new_lines)
+            if len(buf) - pos - checked > MAX_LINE_BYTES:
+                raise ProtocolViolation(start + checked, "header line too long")
+            self._partial = (0, max(len(buf) - pos - 3, 0), checked, lines)
             return None, 0
         kind, txn, pairs = _head(start, buf[pos:head_end])
         end = head_end + 4
@@ -191,6 +209,7 @@ class StreamParser:
             return DeliveryReport(txn, wire, seq, status), end
         length = _number(start, headers, "Length", self.max_payload)
         if len(buf) < end + length + 2:
+            self._partial = (end + length + 2 - pos, 0, 0, 0)
             return None, 0
         payload = bytes(buf[end : end + length])
         end += length
@@ -213,19 +232,18 @@ def _head(start: int, block: bytearray) -> tuple[FrameKind, str, list[tuple[str,
     text = block.decode("ascii", "surrogateescape")
     match = _BLOCK.fullmatch(text)
     if match is None or len(text) > MAX_LINE_BYTES:
-        _refuse(start, text)
+        _check_lines(start, start, 0, text.split("\r\n"))
     pairs = _HEADER.findall(match[3])
     if len(pairs) > MAX_HEADER_COUNT:
         raise ProtocolViolation(start, "too many headers")
     return _KINDS[match[1]], match[2], pairs
 
 
-def _refuse(start: int, text: str) -> None:
-    """Raise what is wrong with a header block that _BLOCK did not match or
-    that is long, checking one line at a time; return if nothing is."""
-    lines = text.split("\r\n")
-    at = start
-    for i, line in enumerate(lines[: MAX_HEADER_COUNT + 2]):
+def _check_lines(start: int, at: int, index: int, lines: list[str]) -> None:
+    """Check header-block lines one at a time, the first being line ``index``
+    of the block at stream offset ``start`` and itself at offset ``at``;
+    raise what is wrong with the first bad one, return if nothing is."""
+    for i, line in enumerate(lines, index):
         if len(line) > MAX_LINE_BYTES:
             raise ProtocolViolation(at, "header line too long")
         if not line.isprintable():
@@ -239,12 +257,12 @@ def _refuse(start: int, text: str) -> None:
                 raise ProtocolViolation(start, f"unknown frame kind: {parts[1]!r}")
             if not is_token(parts[2], TXN_MIN_LEN, TXN_MAX_LEN):
                 raise ProtocolViolation(start, f"bad txn id: {parts[2]!r}")
-            continue
-        key, sep, _ = line.partition(": ")
-        if not sep or not is_token(key):
-            raise ProtocolViolation(start, f"bad header line: {line!r}")
-    if len(lines) > MAX_HEADER_COUNT + 1:
-        raise ProtocolViolation(start, "too many headers")
+        else:
+            key, sep, _ = line.partition(": ")
+            if not sep or not is_token(key):
+                raise ProtocolViolation(start, f"bad header line: {line!r}")
+        if i > MAX_HEADER_COUNT:
+            raise ProtocolViolation(start, "too many headers")
 
 
 def _unique(start: int, pairs: list[tuple[str, str]], what: str) -> dict[str, str]:

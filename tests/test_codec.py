@@ -1,5 +1,7 @@
 """Frame codec: exact bytes, round trips, incremental parsing."""
 
+import time
+
 import pytest
 
 from msbc.wire import (
@@ -339,6 +341,28 @@ class TestDecode:
             parser.feed(b"K62: x\r\n")  # the 65th
         assert "too many headers" in err.value.reason
         assert err.value.offset == 0
+
+    # 62 distinct header lines just under the line cap: a valid block of
+    # about 250 KB, under both the line and the header-count caps.
+    _LONG_HEAD = b"MSBC SEND t00000001\r\nWire: 1\r\nSeq: 1\r\nLength: 60000\r\n"
+    _LONG_HEAD += b"".join(b"X-Pad-%02d: %b\r\n" % (i, b"a" * 4085) for i in range(59))
+
+    @pytest.mark.parametrize(
+        "stream,frames",
+        [(_LONG_HEAD, 0), (_LONG_HEAD + b"\r\n" + b"p" * 60000 + b"\r\n", 1)],
+        ids=["header-block-still-arriving", "payload-after-long-header-block"],
+    )
+    def test_trickled_frame_costs_linear_time(self, stream, frames):
+        # Each feed must look only at the bytes it adds: re-reading the
+        # frame from its start on every feed costs seconds of CPU on these streams.
+        parser = StreamParser()
+        got = []
+        began = time.process_time()
+        for i in range(0, len(stream), 128):
+            got.extend(parser.feed(stream[i : i + 128]))
+        assert time.process_time() - began < 0.5
+        assert len(got) == frames
+        assert parser.consumed + parser.buffered == len(stream)
 
     def test_signal_without_method_or_status(self):
         raw = (

@@ -336,6 +336,21 @@ def test_chunked_streams_agree_with_reference(frame_list, data):
     assert end == ("ok", len(stream), 0)
 
 
+@given(st.lists(mutated() | frames.map(encode_frame), min_size=1, max_size=3), st.data())
+@differential
+def test_trickled_streams_agree_with_reference(raws, data):
+    # Small chunks make most feeds end inside a header block or a payload,
+    # where the parser keeps what it learnt of the frame for the next feed.
+    stream = b"".join(raws)
+    sizes = data.draw(st.lists(st.integers(1, 16), min_size=1, max_size=8))
+    chunks, at = [], 0
+    while at < len(stream):
+        size = sizes[len(chunks) % len(sizes)]
+        chunks.append(stream[at : at + size])
+        at += size
+    assert_agrees(chunks)
+
+
 @given(st.text())
 @settings(derandomize=True, max_examples=200, deadline=None)
 def test_printable_is_printable_ascii(value):

@@ -1,6 +1,8 @@
 """Directory parsing and provider lookup, checked against a brute-force
 longest-prefix oracle."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -136,24 +138,75 @@ _label = st.text(alphabet="abcdefg.", min_size=1, max_size=8)
 
 
 @st.composite
-def directories(draw):
-    n = draw(st.integers(1, 5))
+def patterns(draw, directory):
+    """A rule pattern: an exact id, a wildcard prefix, the catch-all ``*``,
+    or a repeat of a pattern already declared."""
+    choice = draw(st.sampled_from(["exact", "wildcard", "wildcard", "catch-all", "repeat"]))
+    if choice == "repeat" and directory.rules:
+        return draw(st.sampled_from(directory.rules)).pattern
+    if choice == "catch-all":
+        return "*"
+    return draw(_label) + ("*" if choice == "wildcard" else "")
+
+
+@st.composite
+def ctids(draw, directory):
+    """A device id: often one that extends a rule's prefix, or one cut short
+    of it so that the wildcard prefix is longer than the id."""
+    if directory.rules and draw(st.booleans()):
+        prefix = draw(st.sampled_from(directory.rules)).pattern.rstrip("*")
+        if prefix and draw(st.booleans()):
+            return prefix[: draw(st.integers(1, len(prefix)))]
+        return prefix + draw(_label)
+    return draw(_label)
+
+
+def _providers(n):
     d = SubscriptionDirectory()
     for i in range(n):
         d.add_provider(f"p{i}", f"as-p{i}")
+    return d
+
+
+@st.composite
+def directories(draw):
+    n = draw(st.integers(1, 5))
+    d = _providers(n)
     for _ in range(draw(st.integers(0, 8))):
-        base = draw(_label)
-        pattern = base + "*" if draw(st.booleans()) else base
-        d.add_rule(pattern, f"p{draw(st.integers(0, n - 1))}")
+        d.add_rule(draw(patterns(d)), f"p{draw(st.integers(0, n - 1))}")
     return d
 
 
 @given(directory=directories(), data=st.data())
 def test_lookup_matches_brute_force(directory, data):
-    if directory.rules and data.draw(st.booleans()):
-        # Bias toward ids that actually share a prefix with some rule.
-        rule = data.draw(st.sampled_from(directory.rules))
-        ctid = rule.pattern.rstrip("*") + data.draw(_label)
-    else:
-        ctid = data.draw(_label)
+    ctid = data.draw(ctids(directory))
     assert lookup_provider(directory, ctid) == brute_force_lookup(directory, ctid)
+
+
+@given(data=st.data())
+def test_lookup_tracks_rules_added_between_lookups(data):
+    n = data.draw(st.integers(1, 3))
+    d = _providers(n)
+    for _ in range(data.draw(st.integers(1, 16))):
+        if data.draw(st.booleans()):
+            d.add_rule(data.draw(patterns(d)), f"p{data.draw(st.integers(0, n - 1))}")
+        else:
+            ctid = data.draw(ctids(d))
+            assert lookup_provider(d, ctid) == brute_force_lookup(d, ctid)
+
+
+def test_lookup_over_a_large_zoned_directory():
+    # The shape of a large deployment: one wildcard rule per zone, and
+    # about as many exact rules for single devices inside the zones.
+    rng = random.Random(7)
+    d = _providers(2)
+    devices = [f"zone.{rng.randrange(500):03d}.d{rng.randrange(100_000):05d}" for _ in range(1200)]
+    rules = [(f"zone.{z:03d}.*", f"p{z % 2}") for z in range(500)]
+    rules += [(ctid, f"p{rng.randrange(2)}") for ctid in devices[:500]]
+    rng.shuffle(rules)
+    for pattern, provider in rules:
+        d.add_rule(pattern, provider)
+    probes = devices + ["zone.1", "zone.999.d00001", "zone.", "other"]
+    for ctid in probes:
+        assert lookup_provider(d, ctid) == brute_force_lookup(d, ctid), ctid
+    assert sum(lookup_provider(d, ctid) is not None for ctid in probes) == len(devices)

@@ -1,14 +1,19 @@
 """Gateway-side endpoint of the interconnect: session setup, device
-attachment, and payload transfer behind a small threaded facade.
+attachment, and payload transfer.
 
-A Gateway owns two links to the broker (signaling and payload) and one
-``msbc.loop.EventLoop`` thread, started by ``open()`` and joined by
-``close()``/``abort()``. The loop reads both links and dispatches their
-frames; its tick resolves report deadlines, sends keepalives and, once a
-reconnect deadline comes due, re-establishes the whole session after a
-loss. Writes go out on the caller's thread. All shared state sits behind
-one reentrant lock, the link dispatch lock, so fault flips never
-interleave with a half-processed frame.
+``GatewayCore`` holds the protocol state and does no I/O: it takes the
+bytes each link received and the time as arguments, and queues the frames
+to write per link, the links to close and the connections to open.
+``Gateway`` is the threaded facade around it. It owns two links to the
+broker (signaling and payload) and one ``msbc.loop.EventLoop`` thread,
+started by ``open()`` and joined by ``close()``/``abort()``. Each loop pass
+feeds every ready link's chunk to the core under one hold of the dispatch
+lock, then writes each link's queued frames with one ``send``; the tick
+resolves report deadlines, sends keepalives and, once a reconnect deadline
+comes due, re-establishes the whole session after a loss. Calls from the
+application (``transmit``, ``attach_device``, ...) write on the caller's
+thread. Every call into the core holds the lock, so fault flips never
+interleave with a half-processed chunk.
 
 Receiver callbacks run on the loop thread with that lock held: keep them
 quick. Calling back into the gateway from a callback is fine (the lock is
@@ -21,13 +26,13 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 from msbc.session import (
     DialogRejected,
     Keepalive,
-    NegotiatedChannel,
     OpenPayload,
     SendSignal,
     Session,
@@ -43,12 +48,15 @@ from msbc.wire import (
     DEFAULT_FRAME_SIZE,
     DeliveryReport,
     Frame,
+    MAX_FRAME_SIZE,
+    ProtocolViolation,
     Role,
     STATUS_DELIVERED,
     STATUS_NO_SUCH_WIRE,
     Security,
     SessionOffer,
     SignalMessage,
+    StreamParser,
     TxnGenerator,
     Verb,
     WirePacket,
@@ -84,26 +92,29 @@ class Delivery:
 
     def __init__(self, ctid: str):
         self.ctid = ctid
-        self._done = threading.Event()
         self._status: DeliveryStatus | None = None
+        # held until resolved: lighter than an Event, one per packet
+        self._unresolved = threading.Lock()
+        self._unresolved.acquire()
 
     def _resolve(self, status: DeliveryStatus) -> None:
-        if not self._done.is_set():
+        if self._status is None:
             self._status = status
-            self._done.set()
+            self._unresolved.release()
 
     @property
     def done(self) -> bool:
-        return self._done.is_set()
+        return self._status is not None
 
     @property
     def status(self) -> DeliveryStatus | None:
         return self._status
 
     def wait(self, timeout: float | None = None) -> DeliveryStatus:
-        if not self._done.wait(timeout):
-            raise TimeoutError(f"no delivery report for {self.ctid}")
-        assert self._status is not None
+        if self._status is None:
+            if not self._unresolved.acquire(timeout=-1 if timeout is None else max(timeout, 0.0)):
+                raise TimeoutError(f"no delivery report for {self.ctid}")
+            self._unresolved.release()  # let any other waiter through
         return self._status
 
 
@@ -207,391 +218,327 @@ class _Wire:
     ctid: str
     wire: int
     seq_out: int = 0
-    seq_in: int = 1  # next expected inbound seq
 
 
-class Gateway:
-    """One gateway endpoint. Use open_gateway() for the common case."""
+def _safe(fn, *args) -> None:
+    try:
+        fn(*args)
+    except Exception:
+        pass
 
-    def __init__(self, config: GatewayConfig, receiver: Receiver | None = None):
-        if config.role is Role.ASGW and not config.provider:
-            raise ValueError("an application-service gateway needs a provider id")
+
+class GatewayCore:
+    """The gateway's protocol state, with no I/O, thread or clock of its own.
+
+    The caller hands it each link's received bytes and the time (``now``,
+    in ms) and then carries out what it queued: ``out`` maps each link to
+    the frames to write on it, in order; ``closes`` lists links to close
+    once their frames are out; ``dials`` lists connections to open as
+    ``(signal link or None, endpoint, secure)``, each answered with
+    ``on_connected``. A link is any hashable handle the caller picks; one
+    the core forgets without closing is abandoned, as a dead radio path
+    leaves it. Receiver callbacks run, and futures resolve, on the calling
+    thread.
+    """
+
+    def __init__(self, config: GatewayConfig, receiver: Receiver):
         self.config = config
-        self.receiver = receiver if receiver is not None else Receiver()
-        self.control = LinkControl()
-        self._mu = self.control.dispatch_lock
+        self.receiver = receiver
+        self.out: dict[object, list[Frame]] = {}
+        self.closes: list[object] = []
+        self.dials: list[tuple[object | None, str, bool]] = []
+        self.state = GatewayState.CLOSED
+        self.session: Session | None = None
+        self.opened = threading.Event()  # set once OPEN, or once it never will be
+        self.open_error: SessionRejected | None = None
+        self.bye_done = threading.Event()
+        self.closing = False
         self._txns = TxnGenerator()
-        self._state = GatewayState.CLOSED
-        self._session: Session | None = None
-        self._signal: Link | None = None
-        self._payload: Link | None = None
-        self._payload_ready = False
+        self._signal: object | None = None
+        self._payload: object | None = None
+        self._parsers: dict[object, StreamParser] = {}  # one per current link
         self._wires: dict[str, _Wire] = {}
         self._by_wire: dict[int, _Wire] = {}
         self._known: set[str] = set()  # ctids to (re)commission while open
         self._pending_attach: dict[str, Attachment] = {}
         self._pending_detach: dict[str, threading.Event] = {}
-        self._pending_reports: dict[str, tuple[Delivery, float]] = {}
-        self._open_event = threading.Event()
-        self._open_error: SessionRejected | None = None
-        self._bye_done = threading.Event()
-        self._closing = False
-        self._dial_at: float | None = None  # when the loop next (re)connects
-        self._payload_channel: NegotiatedChannel | None = None  # for the tick to connect
-        self._last_rx_ms = _now_ms()
+        self._reports: dict[str, Delivery] = {}
+        # (deadline, txn) in send order: one fixed timeout keeps it sorted
+        self._deadlines: deque[tuple[float, str]] = deque()
+        self._dial_at: float | None = None  # when the tick next (re)connects
+        self._last_rx_ms = 0.0
         self._last_ping_ms = float("-inf")
         self._backoff_ms = config.reconnect_initial_ms
-        self._loop: EventLoop | None = None
-
-    # ------------------------------------------------------------- lifecycle
-
-    def open(self, wait: bool = True, timeout: float = 10.0) -> "Gateway":
-        with self._mu:
-            if self._state is not GatewayState.CLOSED or self._closing:
-                return self
-            self._state = GatewayState.CONNECTING
-            self._last_rx_ms = _now_ms()
-            self._redial(0.0)
-        if wait:
-            self.wait_until_open(timeout)
-        return self
-
-    def wait_until_open(self, timeout: float = 10.0) -> "Gateway":
-        if not self._open_event.wait(timeout):
-            raise TimeoutError("session not established in time")
-        if self._open_error is not None:
-            raise self._open_error
-        if self._state is not GatewayState.OPEN:
-            raise SessionRejected(0, "gateway closed before the session opened")
-        return self
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Orderly shutdown: detach every device, wait for the release acks,
-        end the dialog, then drop the links. Idempotent. From a receiver
-        callback it waits for nothing: the loop that reads acks is the caller."""
-        acks = []
-        with self._mu:
-            if self._closing:
-                return
-            self._closing = True
-            live = self._state is GatewayState.OPEN and self._signal is not None
-            for ctid in sorted(self._wires) if live else []:
-                if ctid not in self._pending_detach:
-                    ev = self._pending_detach[ctid] = threading.Event()
-                    self._known.discard(ctid)
-                    self._send_control(Verb.DECOMMISSION, {"Ctid": ctid})
-                    acks.append(ev)
-        if self._loop is not None and self._loop.in_loop():
-            timeout = 0.0
-        deadline = time.monotonic() + timeout
-        for ev in acks:
-            ev.wait(max(0.0, deadline - time.monotonic()))
-        bye_sent = False
-        with self._mu:
-            sess = self._session
-            if live and sess is not None and sess.state is SessionState.ESTABLISHED:
-                self._session, bye = make_bye(sess, self._txns.next())
-                sig = self._signal
-                bye_sent = sig is not None and sig.send_frame(bye)
-        if bye_sent:
-            self._bye_done.wait(max(0.0, deadline - time.monotonic()))
-        self._shutdown("closed")
-
-    def abort(self) -> None:
-        """Drop everything on the floor: no decommissions, no farewell, the
-        sockets just close. Models a process kill."""
-        with self._mu:
-            self._closing = True
-        self._shutdown("aborted")
-
-    def __enter__(self) -> "Gateway":
-        return self.open()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------ inspection
-
-    @property
-    def state(self) -> GatewayState:
-        return self._state
 
     @property
     def call_id(self) -> str:
-        sess = self._session
-        return sess.call_id if sess is not None else ""
-
-    @property
-    def negotiated(self):
-        sess = self._session
-        return sess.negotiated if sess is not None else None
+        return self.session.call_id if self.session is not None else ""
 
     def attachments(self) -> dict[str, int]:
-        with self._mu:
-            return {ctid: w.wire for ctid, w in self._wires.items()}
+        return {ctid: w.wire for ctid, w in self._wires.items()}
+
+    # ------------------------------------------------------------- lifecycle
+
+    def open(self, now: float) -> bool:
+        """Start connecting at the next tick; False if already under way."""
+        if self.state is not GatewayState.CLOSED or self.closing:
+            return False
+        self.state = GatewayState.CONNECTING
+        self._last_rx_ms = self._dial_at = now
+        return True
+
+    def close(self) -> list[threading.Event] | None:
+        """Begin an orderly shutdown by decommissioning every device. Returns
+        the events that fire on the release acks; None if already closing."""
+        if self.closing:
+            return None
+        live = self.state is GatewayState.OPEN and self._signal is not None
+        acks = [self.detach_device(ctid) for ctid in sorted(self._wires)] if live else []
+        self.closing = True
+        return acks
+
+    def bye(self) -> bool:
+        """End an established dialog; ``bye_done`` fires on the answer."""
+        sess = self.session
+        if self.state is not GatewayState.OPEN or sess is None or sess.state is not SessionState.ESTABLISHED:
+            return False
+        self.session, msg = make_bye(sess, self._txns.next())
+        self._send(self._signal, msg)
+        return True
+
+    def shutdown(self, reason: str) -> None:
+        """Drop the links for good and fail whatever still waits."""
+        self.closing = True
+        self._drop_session()
+        for att in self._pending_attach.values():
+            att._fail(reason)
+        for ev in self._pending_detach.values():
+            ev.set()
+        self._pending_attach.clear()
+        self._pending_detach.clear()
+        was, self.state = self.state, GatewayState.CLOSED
+        self.opened.set()
+        if was is not GatewayState.CLOSED:
+            _safe(self.receiver.on_state, GatewayState.CLOSED)
+
+    def switch_endpoint(self, local_address: str | None, access: Access | None, now: float) -> bool:
+        """Abandon both links (no FIN) and redial at the next tick."""
+        if self.closing:
+            return False
+        self._drop_session(close=False)
+        if local_address is not None:
+            self.config.local_address = local_address
+        if access is not None:
+            self.config.access = access
+        self.state = GatewayState.DEGRADED
+        _safe(self.receiver.on_state, GatewayState.DEGRADED)
+        self._dial_at = now
+        return True
 
     # -------------------------------------------------------------- devices
 
     def attach_device(self, ctid: str) -> Attachment:
-        validate_ctid(ctid)
-        with self._mu:
-            if self.config.role is not Role.LGW:
-                raise RuntimeError("providers receive attachments; they do not request them")
-            existing = self._pending_attach.get(ctid)
-            if existing is not None and not existing.done:
-                return existing
-            att = Attachment(ctid)
-            wired = self._wires.get(ctid)
-            if wired is not None:
-                att._resolve(wired.wire)
-                return att
-            self._pending_attach[ctid] = att
-            self._known.add(ctid)
-            if self._state is GatewayState.OPEN:
-                self._send_control(Verb.COMMISSION, {"Ctid": ctid})
+        if self.config.role is not Role.LGW:
+            raise RuntimeError("providers receive attachments; they do not request them")
+        existing = self._pending_attach.get(ctid)
+        if existing is not None and not existing.done:
+            return existing
+        att = Attachment(ctid)
+        wired = self._wires.get(ctid)
+        if wired is not None:
+            att._resolve(wired.wire)
             return att
+        self._pending_attach[ctid] = att
+        self._known.add(ctid)
+        if self.state is GatewayState.OPEN:
+            self._send_control(Verb.COMMISSION, {"Ctid": ctid})
+        return att
 
     def detach_device(self, ctid: str) -> threading.Event:
-        """Request release of a device; the returned event fires on the ack."""
-        ev = threading.Event()
-        with self._mu:
-            self._known.discard(ctid)
-            att = self._pending_attach.pop(ctid, None)
-            if att is not None:
-                att._fail("detached before attach completed")
-            if ctid in self._wires and self._state is GatewayState.OPEN:
-                pending = self._pending_detach.get(ctid)
-                if pending is not None:
-                    return pending
-                self._pending_detach[ctid] = ev
+        self._known.discard(ctid)
+        att = self._pending_attach.pop(ctid, None)
+        if att is not None:
+            att._fail("detached before attach completed")
+        if ctid in self._wires and self.state is GatewayState.OPEN:
+            if ctid not in self._pending_detach:
                 self._send_control(Verb.DECOMMISSION, {"Ctid": ctid})
-            else:
-                w = self._wires.pop(ctid, None)
-                if w is not None:
-                    self._by_wire.pop(w.wire, None)
-                ev.set()
+            return self._pending_detach.setdefault(ctid, threading.Event())
+        self._unwire(ctid)
+        ev = threading.Event()
+        ev.set()
         return ev
 
-    def transmit(self, ctid: str, payload: bytes) -> Delivery:
+    def transmit(self, ctid: str, payload: bytes, now: float) -> Delivery:
         d = Delivery(ctid)
-        with self._mu:
-            w = self._wires.get(ctid)
-            if w is None:
-                d._resolve(DeliveryStatus.NO_WIRE)
-                return d
-            link = self._payload
-            if link is None or self._state is not GatewayState.OPEN:
-                d._resolve(DeliveryStatus.PEER_UNAVAILABLE)
-                return d
-            sess = self._session
-            limit = (
-                sess.negotiated.max_frame_size
-                if sess is not None and sess.negotiated is not None
-                else self.config.max_frame_size
+        w = self._wires.get(ctid)
+        if w is None:
+            d._resolve(DeliveryStatus.NO_WIRE)
+            return d
+        link = self._payload
+        if link is None or self.state is not GatewayState.OPEN:
+            d._resolve(DeliveryStatus.PEER_UNAVAILABLE)
+            return d
+        negotiated = self.session.negotiated  # None once a BYE is out
+        limit = negotiated.max_frame_size if negotiated else self.config.max_frame_size
+        if len(payload) > limit:
+            raise ValueError(
+                f"payload of {len(payload)} bytes exceeds negotiated frame size {limit}"
             )
-            if len(payload) > limit:
-                raise ValueError(
-                    f"payload of {len(payload)} bytes exceeds negotiated frame size {limit}"
-                )
-            w.seq_out += 1
-            txn = self._txns.next()
-            self._pending_reports[txn] = (d, _now_ms() + self.config.report_timeout_ms)
-            if not link.send_frame(WirePacket(txn, w.wire, w.seq_out, payload)):
-                self._pending_reports.pop(txn, None)
-                d._resolve(DeliveryStatus.PEER_UNAVAILABLE)
+        w.seq_out += 1
+        txn = self._txns.next()
+        self._reports[txn] = d
+        self._deadlines.append((now + self.config.report_timeout_ms, txn))
+        self._send(link, WirePacket(txn, w.wire, w.seq_out, payload))
         return d
 
-    # ---------------------------------------------------------------- faults
+    # ---------------------------------------------------------------- links
 
-    def switch_endpoint(self, local_address: str | None = None, access: Access | None = None) -> None:
-        """Abandon the current links mid-flight (no FIN, pure silence) and
-        re-open from a new source address and/or access network. Models a
-        physical uplink change."""
-        with self._mu:
-            if self._closing:
-                return
-            for link in (self._signal, self._payload):
-                if link is not None:
-                    link.muted = True
-            self._drop_session()
-            if local_address is not None:
-                self.config.local_address = local_address
-            if access is not None:
-                self.config.access = access
-            self._state = GatewayState.DEGRADED
-            self._safe(self.receiver.on_state, GatewayState.DEGRADED)
-            self._redial(0.0)
+    def on_connected(self, sig: object | None, link: object | None, local_address: str, now: float) -> None:
+        """A dial for the signaling link (``sig`` None) or for the payload
+        link of the session on ``sig`` ended: ``link`` is the new
+        connection, from ``local_address``, or None if it failed."""
+        cfg = self.config
+        if self.closing or self._signal is not sig:
+            if link is not None:
+                self.closes.append(link)
+        elif link is None:
+            if sig is not None:
+                self._lost_session("payload-connect-failed", now)
+        elif sig is not None:
+            self._payload = link
+            self._parsers[link] = StreamParser(max_payload=MAX_FRAME_SIZE)
+            self._send(link, ControlMessage(Verb.PING, {"Call-ID": self.call_id}, txn=self._txns.next()))
+        else:
+            self._dial_at = None
+            self._signal = link
+            self._parsers[link] = StreamParser(max_payload=MAX_FRAME_SIZE)
+            self.state = GatewayState.CONNECTING
+            offer = SessionOffer(
+                security=Security.SECURE if cfg.access is Access.INTERNET else Security.PLAIN,
+                max_frame_size=cfg.max_frame_size,
+                payload_endpoint=local_address or "0.0.0.0:0",
+                role=cfg.role,
+                provider=cfg.provider,
+            )
+            self.session, invite = make_invite(
+                cfg.subscriber, cfg.role, cfg.provider, cfg.access, offer, self._txns.next()
+            )
+            self._last_rx_ms = now
+            self._send(link, invite)
+
+    def on_bytes(self, link: object, data: bytes, now: float) -> None:
+        """Dispatch every frame ``data`` completes on ``link``."""
+        parser = self._parsers.get(link)
+        if parser is None:
+            return  # a ghost from an abandoned connection
+        try:
+            frames = parser.feed(data)
+        except ProtocolViolation:
+            self.closes.append(link)
+            self.on_lost(link, now)
+            return
+        for frame in frames:
+            if link not in self._parsers:
+                break  # died with frames in flight: drop them
+            self._handle_frame(link, frame, now)
+
+    def on_lost(self, link: object, now: float) -> None:
+        """``link``'s far end closed it, or its socket failed."""
+        if not self.closing and link in self._parsers:
+            self._lost_session("link-lost", now)
 
     # ------------------------------------------------------------- internals
 
-    def _safe(self, fn, *args) -> None:
-        try:
-            fn(*args)
-        except Exception:
-            pass
+    def _send(self, link: object, frame: Frame) -> None:
+        self.out.setdefault(link, []).append(frame)
 
-    def _send_control(self, verb: Verb, params: dict[str, str]) -> bool:
-        link = self._signal
-        if link is None:
-            return False
-        return link.send_frame(ControlMessage(verb, params, txn=self._txns.next()))
+    def _send_control(self, verb: Verb, params: dict[str, str]) -> None:
+        if self._signal is not None:
+            self._send(self._signal, ControlMessage(verb, params, txn=self._txns.next()))
 
-    def _drop_session(self) -> None:
+    def _drop_session(self, close: bool = True) -> None:
         # in-flight traffic dies with the links; attachments re-form later
         for link in (self._signal, self._payload):
-            if link is not None:
-                link.close()
-        self._signal = self._payload = self._session = None
-        self._payload_ready = False
-        self._open_event.clear()
+            if link is not None and close:
+                self.closes.append(link)
+        self._signal = self._payload = self.session = None
+        self._parsers.clear()
+        self.opened.clear()
         self._wires.clear()
         self._by_wire.clear()
-        for d, _ in self._pending_reports.values():
+        for d in self._reports.values():
             d._resolve(DeliveryStatus.PEER_UNAVAILABLE)
-        self._pending_reports.clear()
+        self._reports.clear()
+        self._deadlines.clear()
 
-    def _redial(self, delay_ms: float) -> None:
-        """(Re)connect after ``delay_ms``, starting the loop on first use."""
-        self._dial_at = _now_ms() + delay_ms
-        if self._loop is None:
-            tick = min(max(self.config.keepalive_interval_ms / 4.0, 5.0), 250.0)
-            self._loop = EventLoop("msbc-gateway", tick, self._tick)
-            self._loop.start()
-        elif delay_ms <= 0:
-            self._loop.tick_soon()
-
-    def _connect(self, endpoint: str, secure: bool, sig: Link | None) -> None:
-        """Open the signaling link (``sig`` is None) or the payload link of
-        the session on ``sig``. On the loop thread: the connect blocks,
-        outside the lock."""
-        cfg = self.config
-        try:
-            link = Link(
-                endpoint,
-                self.control,
-                self._loop,
-                self._handle_frame,
-                self._link_lost,
-                secure=secure,
-                local_address=cfg.local_address,
-            )
-        except OSError:
-            link = None
-        with self._mu:
-            if self._closing or self._signal is not sig:
-                if link is not None:
-                    link.close()
-            elif sig is not None and link is None:
-                self._lost_session("payload-connect-failed")
-            elif sig is not None:
-                self._payload = link
-                ping = ControlMessage(Verb.PING, {"Call-ID": self.call_id}, txn=self._txns.next())
-                link.send_frame(ping)
-            elif link is not None:
-                self._dial_at = None
-                self._signal = link
-                self._state = GatewayState.CONNECTING
-                offer = SessionOffer(
-                    security=Security.SECURE if cfg.access is Access.INTERNET else Security.PLAIN,
-                    max_frame_size=cfg.max_frame_size,
-                    payload_endpoint=link.local_address or "0.0.0.0:0",
-                    role=cfg.role,
-                    provider=cfg.provider,
-                )
-                self._session, invite = make_invite(
-                    cfg.subscriber, cfg.role, cfg.provider, cfg.access, offer, self._txns.next()
-                )
-                self._last_rx_ms = _now_ms()
-                link.send_frame(invite)  # a failed write surfaces as a lost link
-
-    def _link_lost(self, link: Link) -> None:
-        # the link calls this and _handle_frame with the lock held
-        if not self._closing and link in (self._signal, self._payload):
-            self._lost_session("link-lost")
-
-    def _lost_session(self, reason: str) -> None:
-        # callers hold the lock
+    def _lost_session(self, reason: str, now: float) -> None:
         self._drop_session()
-        if self._closing:
+        if self.closing:
             return
         if self.config.auto_reconnect:
-            self._state = GatewayState.DEGRADED
-            self._safe(self.receiver.on_state, GatewayState.DEGRADED)
-            self._redial(self._backoff_ms)
+            self.state = GatewayState.DEGRADED
+            _safe(self.receiver.on_state, GatewayState.DEGRADED)
+            self._dial_at = now + self._backoff_ms
         else:
-            self._state = GatewayState.CLOSED
-            self._open_event.set()
-            self._safe(self.receiver.on_state, GatewayState.CLOSED)
+            self.state = GatewayState.CLOSED
+            self.opened.set()
+            _safe(self.receiver.on_state, GatewayState.CLOSED)
 
-    def _shutdown(self, reason: str) -> None:
-        if self._loop is not None:
-            self._loop.stop()  # its sockets close as it ends
-        with self._mu:
-            self._drop_session()
-            for att in self._pending_attach.values():
-                att._fail(reason)
-            for ev in self._pending_detach.values():
-                ev.set()
-            self._pending_attach.clear()
-            self._pending_detach.clear()
-            was, self._state = self._state, GatewayState.CLOSED
-            self._open_event.set()
-            if was is not GatewayState.CLOSED:
-                self._safe(self.receiver.on_state, GatewayState.CLOSED)
+    def _unwire(self, ctid: str) -> _Wire | None:
+        w = self._wires.pop(ctid, None)
+        if w is not None:
+            self._by_wire.pop(w.wire, None)
+        return w
 
     # ------------------------------------------------------- frame dispatch
 
-    def _handle_frame(self, link: Link, frame: Frame) -> None:
-        if link is not self._signal and link is not self._payload:
-            return  # a ghost from an abandoned connection
-        self._last_rx_ms = _now_ms()
+    def _handle_frame(self, link: object, frame: Frame, now: float) -> None:
+        self._last_rx_ms = now
         if isinstance(frame, SignalMessage):
             if link is self._signal:
-                self._handle_signal(frame)
+                self._handle_signal(frame, now)
         elif isinstance(frame, ControlMessage):
             self._handle_control(link, frame)
         elif isinstance(frame, WirePacket):
             self._handle_packet(link, frame)
         elif isinstance(frame, DeliveryReport):
-            self._handle_report(frame)
+            d = self._reports.pop(frame.txn, None)
+            if d is not None:
+                d._resolve(_STATUS_MAP.get(frame.status, DeliveryStatus.PEER_UNAVAILABLE))
 
-    def _handle_signal(self, msg: SignalMessage) -> None:
-        sess = self._session
+    def _handle_signal(self, msg: SignalMessage, now: float) -> None:
+        sess = self.session
         if sess is None:
             return
         before = sess.state
-        sess2, actions = on_signal(sess, msg, _now_ms(), txn=self._txns.next())
-        self._session = sess2
+        sess2, actions = on_signal(sess, msg, now, txn=self._txns.next())
+        self.session = sess2
         rejected: DialogRejected | None = None
         for action in actions:
             if isinstance(action, SendSignal):
-                sig = self._signal
-                if sig is not None:
-                    sig.send_frame(action.msg)
+                self._send(self._signal, action.msg)
             elif isinstance(action, OpenPayload):
-                self._payload_channel = action.channel  # the tick connects it
-                self._loop.tick_soon()
+                ch = action.channel
+                self.dials.append((self._signal, ch.payload_endpoint, ch.security is Security.SECURE))
             elif isinstance(action, DialogRejected):
                 rejected = action
         if rejected is not None:
-            self._open_error = SessionRejected(rejected.status, rejected.reason)
-            self._closing = True  # a rejected dialog will not heal by retrying
-            self._shutdown("rejected")
+            self.open_error = SessionRejected(rejected.status, rejected.reason)
+            self.shutdown("rejected")  # a rejected dialog will not heal by retrying
             return
         if sess2.state is SessionState.CLOSED and before is not SessionState.CLOSED:
-            if self._closing:
-                self._bye_done.set()
+            if self.closing:
+                self.bye_done.set()
             else:
-                self._lost_session("closed-by-peer")
+                self._lost_session("closed-by-peer", now)
 
-    def _handle_control(self, link: Link, msg: ControlMessage) -> None:
+    def _handle_control(self, link: object, msg: ControlMessage) -> None:
         verb = msg.verb
         if verb is Verb.PING:
-            link.send_frame(ControlMessage(Verb.PONG, dict(msg.params), txn=self._txns.next()))
+            self._send(link, ControlMessage(Verb.PONG, dict(msg.params), txn=self._txns.next()))
         elif verb is Verb.PONG:
-            if link is self._payload and not self._payload_ready:
-                self._payload_ready = True
-                self._session_ready()
+            if link is self._payload and self.state is GatewayState.CONNECTING:
+                self._session_ready()  # the answer to the payload link's first PING
         elif verb is Verb.COMMISSIONED:
             self._on_commissioned(msg)
         elif verb is Verb.AUTHORIZE:
@@ -606,35 +553,32 @@ class Gateway:
 
     def _session_ready(self) -> None:
         self._backoff_ms = self.config.reconnect_initial_ms
-        self._state = GatewayState.OPEN
-        self._open_error = None
-        self._open_event.set()
-        self._safe(self.receiver.on_state, GatewayState.OPEN)
+        self.state = GatewayState.OPEN
+        self.open_error = None
+        self.opened.set()
+        _safe(self.receiver.on_state, GatewayState.OPEN)
         if self.config.role is Role.LGW:
             for ctid in sorted(self._known):
                 if ctid not in self._wires:
                     self._send_control(Verb.COMMISSION, {"Ctid": ctid})
 
-    def _install_wire(self, ctid: str, wire: int) -> None:
-        old = self._wires.get(ctid)
-        if old is not None:
-            self._by_wire.pop(old.wire, None)
-        w = _Wire(ctid=ctid, wire=wire)
-        self._wires[ctid] = w
-        self._by_wire[wire] = w
+    def _install_wire(self, ctid: str, wire: int) -> bool:
+        """Bind ``ctid`` to ``wire``; True if it had no wire before."""
+        old = self._unwire(ctid)
+        self._wires[ctid] = self._by_wire[wire] = _Wire(ctid=ctid, wire=wire)
+        return old is None
 
     def _on_commissioned(self, msg: ControlMessage) -> None:
         ctid = msg.params.get("Ctid", "")
         wire = msg.wire_param
         if not ctid or wire is None:
             return
-        fresh = ctid not in self._wires
-        self._install_wire(ctid, wire)
+        fresh = self._install_wire(ctid, wire)
         att = self._pending_attach.pop(ctid, None)
         if att is not None:
             att._resolve(wire)
         if fresh:
-            self._safe(self.receiver.on_attached, ctid)
+            _safe(self.receiver.on_attached, ctid)
 
     def _on_authorize(self, msg: ControlMessage) -> None:
         ctid = msg.params.get("Ctid", "")
@@ -648,12 +592,11 @@ class Gateway:
         if not ok:
             self._send_control(Verb.DENIED, {"Ctid": ctid})
             return
-        fresh = ctid not in self._wires
-        self._install_wire(ctid, wire)
+        fresh = self._install_wire(ctid, wire)
         self._known.add(ctid)
         self._send_control(Verb.AUTHORIZED, {"Ctid": ctid, "Wire": str(wire)})
         if fresh:
-            self._safe(self.receiver.on_attached, ctid)
+            _safe(self.receiver.on_attached, ctid)
 
     def _on_decommissioned(self, ctid: str) -> None:
         if not ctid:
@@ -664,25 +607,21 @@ class Gateway:
         att = self._pending_attach.pop(ctid, None)
         if att is not None:
             att._fail("decommissioned")
-        w = self._wires.pop(ctid, None)
-        if w is not None:
-            self._by_wire.pop(w.wire, None)
+        w = self._unwire(ctid)
         self._known.discard(ctid)
         # teardown ack: always echoed, exactly once, even for unknown ctids
         self._send_control(Verb.DECOMMISSIONED, {"Ctid": ctid})
         if w is not None:
-            self._safe(self.receiver.on_detached, ctid)
+            _safe(self.receiver.on_detached, ctid)
 
     def _on_peer_down(self, ctid: str) -> None:
         if not ctid:
             return
-        w = self._wires.pop(ctid, None)
-        if w is not None:
-            self._by_wire.pop(w.wire, None)
+        w = self._unwire(ctid)
         self._known.discard(ctid)
         self._send_control(Verb.DECOMMISSIONED, {"Ctid": ctid})
         if w is not None:
-            self._safe(self.receiver.on_peer_down, ctid)
+            _safe(self.receiver.on_peer_down, ctid)
 
     def _on_error(self, params: dict[str, str]) -> None:
         ctid = params.get("Ctid", "")
@@ -692,59 +631,235 @@ class Gateway:
             if att is not None:
                 self._known.discard(ctid)
                 att._fail(reason)
-        self._safe(self.receiver.on_error, reason, ctid)
+        _safe(self.receiver.on_error, reason, ctid)
 
-    def _handle_packet(self, link: Link, pkt: WirePacket) -> None:
+    def _handle_packet(self, link: object, pkt: WirePacket) -> None:
         if link is not self._payload:
             return
         w = self._by_wire.get(pkt.wire)
         if w is None:
-            link.send_frame(DeliveryReport(pkt.txn, pkt.wire, pkt.seq, STATUS_NO_SUCH_WIRE))
+            self._send(link, DeliveryReport(pkt.txn, pkt.wire, pkt.seq, STATUS_NO_SUCH_WIRE))
             return
-        w.seq_in = pkt.seq + 1
-        # delivery and its report happen under one lock hold: a fault flipped
-        # concurrently either drops the frame entirely or sees both complete
-        self._safe(self.receiver.on_data, w.ctid, pkt.payload)
-        link.send_frame(DeliveryReport(pkt.txn, pkt.wire, pkt.seq, STATUS_DELIVERED))
-
-    def _handle_report(self, rpt: DeliveryReport) -> None:
-        entry = self._pending_reports.pop(rpt.txn, None)
-        if entry is None:
-            return
-        entry[0]._resolve(_STATUS_MAP.get(rpt.status, DeliveryStatus.PEER_UNAVAILABLE))
+        # delivery and its report are queued by one call: a fault flipped
+        # between the facade's lock holds drops the frame or sees both
+        _safe(self.receiver.on_data, w.ctid, pkt.payload)
+        self._send(link, DeliveryReport(pkt.txn, pkt.wire, pkt.seq, STATUS_DELIVERED))
 
     # ------------------------------------------------------------------ tick
 
-    def _tick(self, now: float) -> None:
+    def on_tick(self, now: float) -> None:
         cfg = self.config
-        target = None
+        deadlines, reports = self._deadlines, self._reports
+        while deadlines and deadlines[0][0] <= now:
+            d = reports.pop(deadlines.popleft()[1], None)
+            if d is not None:
+                d._resolve(DeliveryStatus.PEER_UNAVAILABLE)
+        if self.state is GatewayState.OPEN and self.session is not None:
+            verdict = liveness(
+                self._last_rx_ms, now, cfg.keepalive_interval_ms, cfg.keepalive_misses
+            )
+            if verdict is Keepalive.EXPIRED:
+                self._lost_session("watchdog", now)
+            elif (
+                verdict is Keepalive.SEND_PING
+                and now - self._last_ping_ms >= cfg.keepalive_interval_ms
+            ):
+                self._last_ping_ms = now
+                self._send_control(Verb.PING, {})
+        elif self.state is GatewayState.CONNECTING:
+            if now - self._last_rx_ms >= cfg.keepalive_interval_ms * cfg.keepalive_misses:
+                self._lost_session("connect-timeout", now)
+        if self._signal is None and self._dial_at is not None and now >= self._dial_at:
+            self._dial_at = now + self._backoff_ms  # when to try again, should this fail
+            self._backoff_ms = min(self._backoff_ms * 2, cfg.reconnect_max_ms)
+            self.dials.append((None, cfg.broker_endpoint, False))
+
+
+class Gateway:
+    """One gateway endpoint. Use open_gateway() for the common case."""
+
+    def __init__(self, config: GatewayConfig, receiver: Receiver | None = None):
+        if config.role is Role.ASGW and not config.provider:
+            raise ValueError("an application-service gateway needs a provider id")
+        self.config = config
+        self.receiver = receiver if receiver is not None else Receiver()
+        self.control = LinkControl()
+        self._mu = self.control.dispatch_lock
+        self._core = GatewayCore(config, self.receiver)
+        self._loop: EventLoop | None = None
+        self._ready: list[Link] = []  # links the current loop pass found readable
+
+    # ------------------------------------------------------------- lifecycle
+
+    def open(self, wait: bool = True, timeout: float = 10.0) -> "Gateway":
         with self._mu:
-            for txn in [t for t, (_, dl) in self._pending_reports.items() if now >= dl]:
-                self._pending_reports.pop(txn)[0]._resolve(DeliveryStatus.PEER_UNAVAILABLE)
-            if self._state is GatewayState.OPEN and self._session is not None:
-                verdict = liveness(
-                    self._last_rx_ms, now, cfg.keepalive_interval_ms, cfg.keepalive_misses
-                )
-                if verdict is Keepalive.EXPIRED:
-                    self._lost_session("watchdog")
-                elif (
-                    verdict is Keepalive.SEND_PING
-                    and now - self._last_ping_ms >= cfg.keepalive_interval_ms
-                ):
-                    self._last_ping_ms = now
-                    self._send_control(Verb.PING, {})
-            elif self._state is GatewayState.CONNECTING:
-                if now - self._last_rx_ms >= cfg.keepalive_interval_ms * cfg.keepalive_misses:
-                    self._lost_session("connect-timeout")
-            sig, channel, self._payload_channel = self._signal, self._payload_channel, None
-            if sig is not None and channel is not None:
-                target = (channel.payload_endpoint, channel.security is Security.SECURE)
-            elif sig is None and self._dial_at is not None and now >= self._dial_at:
-                self._dial_at = now + self._backoff_ms  # when to try again, should this fail
-                self._backoff_ms = min(self._backoff_ms * 2, cfg.reconnect_max_ms)
-                target = (cfg.broker_endpoint, False)
-        if target is not None and not self.control.blackhole:  # a dead radio dials nothing
-            self._connect(*target, sig)
+            if self._core.open(_now_ms()):
+                self._tick_soon()  # the tick dials
+        if wait:
+            self.wait_until_open(timeout)
+        return self
+
+    def wait_until_open(self, timeout: float = 10.0) -> "Gateway":
+        core = self._core
+        if not core.opened.wait(timeout):
+            raise TimeoutError("session not established in time")
+        if core.open_error is not None:
+            raise core.open_error
+        if core.state is not GatewayState.OPEN:
+            raise SessionRejected(0, "gateway closed before the session opened")
+        return self
+
+    def close(self, timeout: float = 5.0) -> None:
+        """Orderly shutdown: detach every device, wait for the release acks,
+        end the dialog, then drop the links. Idempotent. From a receiver
+        callback it waits for nothing: the loop that reads acks is the caller."""
+        core = self._core
+        acks = self._locked(core.close)
+        if acks is None:
+            return
+        if self._loop is not None and self._loop.in_loop():
+            timeout = 0.0
+        deadline = time.monotonic() + timeout
+        for ev in acks:
+            ev.wait(max(0.0, deadline - time.monotonic()))
+        if self._locked(core.bye):
+            core.bye_done.wait(max(0.0, deadline - time.monotonic()))
+        self._shutdown("closed")
+
+    def abort(self) -> None:
+        """Drop everything on the floor: no decommissions, no farewell, the
+        sockets just close. Models a process kill."""
+        self._shutdown("aborted")
+
+    def __enter__(self) -> "Gateway":
+        return self.open()
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    # ------------------------------------------------------------ inspection
+
+    @property
+    def state(self) -> GatewayState:
+        return self._core.state
+
+    @property
+    def call_id(self) -> str:
+        return self._core.call_id
+
+    @property
+    def negotiated(self):
+        sess = self._core.session
+        return sess.negotiated if sess is not None else None
+
+    def attachments(self) -> dict[str, int]:
+        with self._mu:
+            return self._core.attachments()
+
+    # -------------------------------------------------------------- devices
+
+    def attach_device(self, ctid: str) -> Attachment:
+        validate_ctid(ctid)
+        return self._locked(self._core.attach_device, ctid)
+
+    def detach_device(self, ctid: str) -> threading.Event:
+        """Request release of a device; the returned event fires on the ack."""
+        return self._locked(self._core.detach_device, ctid)
+
+    def transmit(self, ctid: str, payload: bytes) -> Delivery:
+        return self._locked(self._core.transmit, ctid, payload, _now_ms())
+
+    # ---------------------------------------------------------------- faults
+
+    def switch_endpoint(self, local_address: str | None = None, access: Access | None = None) -> None:
+        """Abandon the current links mid-flight (no FIN, pure silence) and
+        re-open from a new source address and/or access network. Models a
+        physical uplink change."""
+        with self._mu:
+            if self._core.switch_endpoint(local_address, access, _now_ms()):
+                self._tick_soon()
+            self._flush()
+
+    # ------------------------------------------------------------- internals
+
+    def _locked(self, call, *args):
+        """Make one call into the core under the lock, then write what it queued."""
+        with self._mu:
+            result = call(*args)
+            self._flush()
+        return result
+
+    def _flush(self) -> None:
+        """Carry out what the core queued: each link's frames in one write,
+        then the closes, so a frame queued before a close leaves before the
+        FIN. Callers hold the lock."""
+        core = self._core
+        if core.out:
+            for link, frames in core.out.items():
+                for frame in frames:
+                    link.send_frame(frame)
+                link.flush()
+            core.out.clear()
+        if core.closes:
+            for link in core.closes:
+                link.close()
+            core.closes.clear()
+
+    def _tick_soon(self) -> None:
+        if self._loop is None:
+            tick = min(max(self.config.keepalive_interval_ms / 4.0, 5.0), 250.0)
+            self._loop = EventLoop("msbc-gateway", tick, self._tick, self._pass)
+            self._loop.start()
+        else:
+            self._loop.tick_soon()
+
+    def _tick(self, now: float) -> None:
+        self._locked(self._core.on_tick, now)
+
+    def _pass(self) -> None:
+        """End of a loop pass: feed each ready link's chunk to the core and
+        write what it answered, all in one lock hold; then dial."""
+        core, ready = self._core, self._ready
+        if not ready and not core.dials:
+            return
+        with self._mu:
+            now = _now_ms()
+            for link in ready:
+                data = link.read()
+                if data:
+                    core.on_bytes(link, data, now)
+                elif data is not None:
+                    core.on_lost(link, now)
+            ready.clear()
+            self._flush()
+            dials, core.dials = core.dials, []
+        for sig, endpoint, secure in dials:
+            if not self.control.blackhole:  # a dead radio dials nothing
+                self._dial(sig, endpoint, secure)
+        if core.closing and core.state is GatewayState.CLOSED:
+            self._loop.stop()  # shut down from within the loop: a rejected dialog
+
+    def _dial(self, sig: Link | None, endpoint: str, secure: bool) -> None:
+        """Open a link on the loop thread: the connect blocks, outside the lock."""
+        try:
+            link = Link(
+                endpoint,
+                self.control,
+                self._loop,
+                self._ready.append,
+                secure=secure,
+                local_address=self.config.local_address,
+            )
+        except OSError:
+            link = None
+        self._locked(self._core.on_connected, sig, link, link.local_address if link else "", _now_ms())
+
+    def _shutdown(self, reason: str) -> None:
+        with self._mu:
+            self._core.closing = True  # nothing reconnects while the loop stops
+        if self._loop is not None:
+            self._loop.stop()  # its sockets close as it ends
+        self._locked(self._core.shutdown, reason)
 
 
 def open_gateway(

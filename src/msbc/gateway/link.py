@@ -1,14 +1,16 @@
 """Framed TCP/TLS connection on a gateway's event loop, with cooperative
 fault injection.
 
-A Link has no thread and no lock of its own: the loop thread does every
-read and hands frames upward, and writes run on the caller's thread, all
-under the ``dispatch_lock`` that the links of a gateway share. So a TLS
-socket is never used by two threads at once, and a fault flipped under the
-lock never interleaves with a half-processed frame. The ``blackhole`` flag
-simulates a dead radio path: writes are swallowed, reads are discarded,
-and a link closed while dark stays open, so the far end sees silence, not
-a FIN.
+A Link has no thread, lock or parser of its own. The loop thread reads it
+and hands each chunk to the gateway core; the frames the core queues are
+encoded into the link's buffer one ``send_frame`` at a time and written by
+one ``flush``, so the replies to a whole chunk leave in one ``send``. Every
+call comes with the ``dispatch_lock`` that the links of a gateway share
+held, so a TLS socket is never used by two threads at once, and a write
+from a caller's thread never interleaves with queued bytes. The
+``blackhole`` flag simulates a dead radio path: writes are swallowed,
+reads are discarded, and a link closed while dark stays open, so the far
+end sees silence, not a FIN.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import threading
 from typing import Callable
 
 from msbc.loop import READ, WOULD_BLOCK, WRITE, EventLoop, close_quietly, receive
-from msbc.wire import Frame, MAX_FRAME_SIZE, ProtocolViolation, StreamParser, encode_frame
+from msbc.wire import Frame, encode_frame
 from msbc.wire.types import parse_endpoint
 
 
@@ -43,26 +45,23 @@ class LinkControl:
 
 
 class Link:
-    """One connection; frames go up through on_frame, loss through on_lost,
-    both on the loop thread with the dispatch lock held."""
+    """One connection. The loop calls ``on_readable(link)`` when it has
+    bytes; everything else is called with the dispatch lock held."""
 
     def __init__(
         self,
         endpoint: str,
         control: LinkControl,
         loop: EventLoop,
-        on_frame: Callable[["Link", Frame], None],
-        on_lost: Callable[["Link"], None],
+        on_readable: Callable[["Link"], None],
         secure: bool = False,
         local_address: str | None = None,
         connect_timeout: float = 5.0,
     ):
         self.control = control
         self._loop = loop
-        self._on_frame = on_frame
-        self._on_lost = on_lost
         self._closed = False
-        self.muted = False  # per-link blackhole, for abandoned connections
+        self._out: list[bytes] = []  # encoded frames not yet written
         host, port = parse_endpoint(endpoint)
         source = (local_address, 0) if local_address else None
         sock = socket.create_connection((host, port), timeout=connect_timeout, source_address=source)
@@ -71,8 +70,7 @@ class Link:
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
-        self._parser = StreamParser(max_payload=MAX_FRAME_SIZE)
-        loop.selector.register(sock, READ, self._readable)
+        loop.selector.register(sock, READ, lambda mask: on_readable(self))
 
     @property
     def local_address(self) -> str:
@@ -82,65 +80,53 @@ class Link:
         except OSError:
             return ""
 
-    def _dead(self) -> bool:
-        return self.muted or self.control.blackhole
+    def send_frame(self, frame: Frame) -> None:
+        """Queue one frame behind those not yet written; ``flush`` writes
+        them. Dropped once the link is closed, swallowed while blackholed."""
+        if not self._closed and not self.control.blackhole:
+            self._out.append(encode_frame(frame))
 
-    def send_frame(self, frame: Frame) -> bool:
-        """Write one frame, waiting while the socket is full as ``sendall``
-        would; silently swallowed while blackholed."""
-        with self.control.dispatch_lock:
-            if self._closed:
-                return False
-            if self._dead():
-                return True  # the radio void accepts everything
-            data = memoryview(encode_frame(frame))
-            try:
-                while data:
-                    try:
-                        data = data[self._sock.send(data):]
-                    except WOULD_BLOCK as exc:
-                        # TLS retries the same bytes once the socket is ready
-                        _wait(self._sock, READ if isinstance(exc, ssl.SSLWantReadError) else WRITE)
-                return True
-            except OSError:
-                return False
+    def flush(self) -> None:
+        """Write every queued byte, waiting while the socket is full as
+        ``sendall`` would. A failed write surfaces as a lost link on the
+        next read."""
+        out, self._out = self._out, []
+        if not out or self.control.blackhole:
+            return
+        data = memoryview(out[0] if len(out) == 1 else b"".join(out))
+        try:
+            while data:
+                try:
+                    data = data[self._sock.send(data):]
+                except WOULD_BLOCK as exc:
+                    # TLS retries the same bytes once the socket is ready
+                    _wait(self._sock, READ if isinstance(exc, ssl.SSLWantReadError) else WRITE)
+        except OSError:
+            pass
+
+    def read(self) -> bytes | None:
+        """One received chunk: None if there is nothing to hand up, b"" once
+        a live link is lost. Bytes that reach a blackholed or closed link
+        fall off."""
+        data = receive(self._sock)
+        if data is None:
+            return None
+        if not data:
+            self._drop()
+        return None if self._closed or self.control.blackhole else data
 
     def close(self) -> None:
-        """Stop the link. A blackholed link keeps its socket open and read
-        (no FIN) until the far end closes it or the loop ends."""
+        """Stop the link; the gateway flushes it first. Closed while
+        blackholed, it keeps its socket open and read (no FIN) until the far
+        end closes it or the loop ends, as does a link the gateway abandons."""
         if not self._closed:
             self._closed = True
-            if not self._dead():
+            if not self.control.blackhole:
                 self._drop()
 
     def _drop(self) -> None:
         self._loop.unregister(self._sock)
         close_quietly(self._sock)
-
-    def _readable(self, mask: int) -> None:
-        # The lock keeps callers' writes off the socket while the loop reads
-        # it, and is taken again for each frame, so callers get in between.
-        lock = self.control.dispatch_lock
-        with lock:
-            data = receive(self._sock)
-        if data is None:
-            return
-        frames = []
-        if data and not (self._closed or self._dead()):  # else bits fall off
-            try:
-                frames = self._parser.feed(data)
-            except ProtocolViolation:
-                data = b""
-        for frame in frames:
-            with lock:
-                if self._closed or self._dead():
-                    break  # died with frames in flight: drop them
-                self._on_frame(self, frame)
-        if not data:
-            with lock:
-                self._drop()
-                if not self._closed and not self._dead():
-                    self._on_lost(self)
 
 
 def _wait(sock: socket.socket, events: int) -> None:

@@ -565,32 +565,26 @@ class ScenarioRunner:
             else:
                 gateway.close(timeout=5.0)
         if self.server is not None:
-            clean = self._wait_quiescent(timeout=3.0)
-            self.report.teardown_clean = clean
-            if self.require_clean and not clean:
-                leftovers = sorted(self.server.broker.table.by_ctid)
-                sessions = len(self.server.broker.sessions)
-                self.report.failures.append(
-                    f"teardown left {sessions} sessions and wires for {leftovers}"
-                )
+            self._wait_quiescent(timeout=3.0)
             self.server.stop()
+            # the loop thread has ended: this read races nothing
+            state = self.server.broker.teardown_state()
+            self.report.teardown_clean = state["clean"]
+            if self.require_clean and not state["clean"]:
+                self.report.failures.append(
+                    f"teardown left sessions {state['sessions']}, wires for {state['table']}"
+                    f" and wires held by {state['holding_wires']}"
+                )
         for gateway in self.gateways.values():
             gateway.abort()
 
-    def _wait_quiescent(self, timeout: float) -> bool:
-        """True once the broker holds no sessions and no wire entries.
-
-        Reads race the broker thread, so poll until stable; the final state
-        after every gateway has closed is what matters.
-        """
+    def _wait_quiescent(self, timeout: float) -> None:
+        """Give the broker up to ``timeout`` to finish tearing down. These
+        reads race its loop thread, so they only decide when to stop waiting."""
         assert self.server is not None
-        broker = self.server.broker
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if not broker.sessions and not broker.table.by_ctid:
-                return True
+        while time.monotonic() < deadline and not self.server.broker.teardown_state()["clean"]:
             time.sleep(0.02)
-        return not broker.sessions and not broker.table.by_ctid
 
 
 def run_scenario(

@@ -148,6 +148,23 @@ class Broker:
         self.payload_endpoints: dict[Security, str] = {}
         self.now_ms = 0.0
 
+    def teardown_state(self) -> dict:
+        """What must be gone once every gateway has closed: wire-table
+        entries, sessions, and sessions whose allocator still holds live or
+        quarantined wires. ``clean`` is True when all three are empty.
+        Another thread may poll it while the loop runs (it iterates copies),
+        but only a read after the loop has stopped is exact."""
+        state = {
+            "table": sorted(self.table.by_ctid),
+            "sessions": sorted(self.sessions),
+            "holding_wires": [
+                sid
+                for sid, bs in list(self.sessions.items())
+                if bs.allocator.live or bs.allocator.quarantined
+            ],
+        }
+        return {**state, "clean": not any(state.values())}
+
     def configure_endpoints(self, plain: str, secure: str) -> None:
         self.payload_endpoints = {Security.PLAIN: plain, Security.SECURE: secure}
 

@@ -38,25 +38,13 @@ log = logging.getLogger("msbc.interconnect")
 
 
 @dataclass
-class ServerConfig:
+class ServerConfig(BrokerConfig):
+    """The broker core's rules, and where the server listens."""
+
     host: str = "127.0.0.1"
     signal_port: int = 0  # 0 picks an ephemeral port
     payload_port: int = 0
     payload_tls_port: int = 0
-    keepalive_interval_ms: float = 5000.0
-    keepalive_misses: int = 3
-    buffer_max_packets: int = 1024
-    buffer_max_bytes: int = 4 * 1024 * 1024
-    max_frame_size: int = 16384
-
-    def broker_config(self) -> BrokerConfig:
-        return BrokerConfig(
-            keepalive_interval_ms=self.keepalive_interval_ms,
-            keepalive_misses=self.keepalive_misses,
-            buffer_max_packets=self.buffer_max_packets,
-            buffer_max_bytes=self.buffer_max_bytes,
-            max_frame_size=self.max_frame_size,
-        )
 
     @property
     def tick_ms(self) -> float:
@@ -105,7 +93,7 @@ class BrokerServer:
     ):
         self.config = config or ServerConfig()
         self.events = events or EventLog()
-        self.broker = Broker(directory, _BufferedOutbox(self), self.config.broker_config(), self.events)
+        self.broker = Broker(directory, _BufferedOutbox(self), self.config, self.events)
         self._loop: EventLoop | None = None
         self._conns: dict[int, _Conn] = {}
         self._dirty: dict[int, _Conn] = {}

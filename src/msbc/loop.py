@@ -65,7 +65,7 @@ class EventLoop:
         name: str,
         tick_ms: float,
         on_tick: Callable[[float], None],
-        on_pass: Callable[[], None] | None = None,
+        on_pass: Callable[[], None],
     ):
         self.name = name
         self.selector = selectors.DefaultSelector()
@@ -129,8 +129,7 @@ class EventLoop:
                         deadline += interval
                         if deadline < now:  # stalled; skip, don't burst
                             deadline = now + interval
-                if self._on_pass is not None:
-                    self._guarded(self._on_pass)
+                self._guarded(self._on_pass)
         finally:
             for key in list(self.selector.get_map().values()):
                 close_quietly(key.fileobj)

@@ -189,7 +189,8 @@ class StreamParser:
                 new_lines = text.split("\r\n")
                 _check_lines(start, start + checked, lines, new_lines)
                 checked, lines = cut + 2 - pos, lines + len(new_lines)
-            if len(buf) - pos - checked > MAX_LINE_BYTES:
+            # a final CR may be the first half of the unfinished line's CRLF
+            if len(buf) - pos - checked - (buf[-1] == 13) > MAX_LINE_BYTES:
                 raise ProtocolViolation(start + checked, "header line too long")
             self._partial = (0, max(len(buf) - pos - 3, 0), checked, lines)
             return None, 0

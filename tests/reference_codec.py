@@ -128,7 +128,8 @@ class ReferenceParser:
     def _line(self, pos: int) -> tuple[str | None, int]:
         end = self._buf.find(CRLF, pos)
         if end < 0:
-            if len(self._buf) - pos > MAX_LINE_BYTES:
+            # a final CR may be the first half of the line's CRLF
+            if len(self._buf) - pos - self._buf.endswith(b"\r") > MAX_LINE_BYTES:
                 raise ProtocolViolation(self._consumed + pos, "header line too long")
             return None, pos
         if end - pos > MAX_LINE_BYTES:

@@ -428,6 +428,25 @@ def test_wire_reuse_waits_for_ack(pair):
     assert commission(rig, lgw, asgw, "meter.3") == (1, 1)
 
 
+def test_teardown_state_is_clean_only_once_every_wire_is_released(pair):
+    rig, lgw, asgw = pair
+    commission(rig, lgw, asgw, "meter.1")
+    lgw.control(Verb.DECOMMISSION, {"Ctid": "meter.1"})
+    state = rig.broker.teardown_state()
+    assert state["table"] == [] and len(state["holding_wires"]) == 2  # quarantined until acked
+    assert not state["clean"]
+    lgw.control(Verb.DECOMMISSIONED, {"Ctid": "meter.1"})
+    asgw.control(Verb.DECOMMISSIONED, {"Ctid": "meter.1"})
+    assert rig.broker.teardown_state()["holding_wires"] == []
+    for gw in (lgw, asgw):
+        gw.session, bye = make_bye(gw.session, rig.txns.next())
+        rig.feed(gw.signal, bye)
+    rig.tick()
+    assert rig.broker.teardown_state() == {
+        "table": [], "sessions": [], "holding_wires": [], "clean": True
+    }
+
+
 def test_decommission_unknown_is_idempotent(pair):
     rig, lgw, _ = pair
     lgw.control(Verb.DECOMMISSION, {"Ctid": "meter.zz"})

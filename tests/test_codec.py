@@ -21,6 +21,7 @@ from msbc.wire import (
     decode_stream,
     encode_frame,
 )
+from msbc.wire.codec import MAX_LINE_BYTES
 
 
 def assemble(start, headers, payload=None):
@@ -331,6 +332,17 @@ class TestDecode:
             parser.feed(b"X")  # 4097 bytes and still no CRLF
         assert "too long" in err.value.reason
         assert err.value.offset == len(b"MSBC SEND t00000001\r\n")
+
+    def test_longest_header_line_split_at_its_cr(self):
+        # A line of exactly MAX_LINE_BYTES is legal however TCP splits it,
+        # also when one feed ends between its CR and its LF.
+        line = b"X-Pad: " + b"a" * (MAX_LINE_BYTES - 7)
+        stream = b"MSBC SEND t00000001\r\nWire: 1\r\nSeq: 1\r\nLength: 2\r\n" + line + b"\r\n\r\nhi\r\n"
+        cut = stream.index(line) + len(line) + 1
+        parser = StreamParser()
+        assert parser.feed(stream[:cut]) == []
+        assert parser.feed(stream[cut:]) == [WirePacket("t00000001", 1, 1, b"hi")]
+        assert parser.consumed == len(stream)
 
     def test_too_many_headers_refused_without_waiting(self):
         start = b"MSBC CONTROL t00000001\r\nWire: 0\r\nVerb: PING\r\n"

@@ -23,6 +23,7 @@ from msbc.wire import (
     decode_stream,
     encode_frame,
 )
+from msbc.wire.codec import MAX_HEADER_COUNT, MAX_LINE_BYTES
 from msbc.wire.types import _printable
 
 token = st.text("ABCdefgh0129._-", min_size=1, max_size=12)
@@ -355,3 +356,39 @@ def test_trickled_streams_agree_with_reference(raws, data):
 @settings(derandomize=True, max_examples=200, deadline=None)
 def test_printable_is_printable_ascii(value):
     assert _printable(value) == all(0x20 <= ord(ch) <= 0x7E for ch in value)
+
+
+@st.composite
+def capped_frames(draw):
+    """A valid SEND or CONTROL with up to MAX_HEADER_COUNT header lines, a
+    few of them MAX_LINE_BYTES long or nearly so."""
+    count = draw(st.integers(MAX_HEADER_COUNT - 3, MAX_HEADER_COUNT))
+    lengths = draw(st.lists(st.integers(MAX_LINE_BYTES - 2, MAX_LINE_BYTES), max_size=3))
+    if draw(st.booleans()):
+        # Wire and Verb come first; each param line "Pnn: value" is 6 + len(value)
+        values = [("v" * (n - 6)) for n in lengths] + ["v"] * (count - 2 - len(lengths))
+        params = {f"P{i:02d}": value for i, value in enumerate(values)}
+        return encode_frame(ControlMessage(Verb.PING, params, txn=draw(txn)))
+    # Wire, Seq and Length, then pad lines "X-Pad-nn: value" of 10 + len(value)
+    payload = draw(st.binary(max_size=16).map(lambda b: b"\r\n" + b + b"\r"))
+    pads = [b"a" * (n - 10) for n in lengths] + [b"a"] * (count - 3 - len(lengths))
+    head = b"MSBC SEND %b\r\nWire: 1\r\nSeq: 1\r\nLength: %d\r\n" % (draw(txn).encode(), len(payload))
+    head += b"".join(b"X-Pad-%02d: %b\r\n" % (i, pad) for i, pad in enumerate(pads))
+    return head + b"\r\n" + payload + b"\r\n"
+
+
+@given(st.lists(capped_frames(), min_size=1, max_size=2))
+@settings(max_examples=15)
+def test_every_split_at_a_line_end_parses_like_the_whole(raws):
+    # No oracle: a stream cut in two just before, inside or just after any
+    # CRLF (payload bytes included) yields the frames and the consumed count
+    # of the whole stream.
+    stream = b"".join(raws)
+    whole = StreamParser()
+    frames = whole.feed(stream)
+    assert len(frames) == len(raws) and whole.consumed == len(stream)
+    cuts = sorted({i + d for i in range(len(stream)) if stream[i] in b"\r\n" for d in (0, 1)})
+    for cut in cuts:
+        parser = StreamParser()
+        got = parser.feed(stream[:cut]) + parser.feed(stream[cut:])
+        assert (got, parser.consumed) == (frames, whole.consumed), cut

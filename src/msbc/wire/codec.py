@@ -17,13 +17,19 @@ contain CR, LF or anything else. The encoder emits headers in the canonical
 order above; the decoder accepts any header order and ignores unknown keys
 (for CONTROL, unrecognized keys are the verb params).
 
-Validation happens once per field. The parser checks every field that
+Validation happens once per field, on one of two paths. A SEND or REPORT
+header block in exactly the layout encode_frame writes (Wire, Seq, then
+Length or Status, no leading zeros) is read by one compiled match; the
+parser then range-checks its numbers and checks the payload terminator,
+and builds the frame. Every other block, and any block that fails one of
+those checks, takes the general path, which checks every field that
 arrives from a peer as it builds the frame: the header block's caps and
 printability, the start line, each header line, the numbers, the enums and
 each kind's own rules (a SIGNAL's dialog rules are SignalMessage.validate's).
-It does not validate the frames it builds a second time. encode_frame
-validates the frame it is given, which the broker and the SDK build from
-their own values.
+Only the general path raises, so the frames and every ProtocolViolation are
+the same whichever path a block takes. Neither path validates the frames it
+builds a second time. encode_frame validates the frame it is given, which
+the broker and the SDK build from their own values.
 """
 
 from __future__ import annotations
@@ -69,6 +75,17 @@ _BLOCK = re.compile(
     % ("|".join(_KINDS), TXN_MIN_LEN, TXN_MAX_LEN, CTID_MAX_LEN)
 )
 _HEADER = re.compile(r"\r\n([^:]+): ([^\r]*)")  # the header lines of a matched block
+
+# The header block encode_frame writes for a SEND or a REPORT, matched on
+# the buffer's bytes: its kind, txn, Wire, Seq, and Length or Status. No
+# number has a leading zero or more digits than its limit, so only the range
+# checks remain; a block this does not match takes the general path.
+_CANONICAL = re.compile(
+    rb"MSBC (?:(SEND)|REPORT) ([A-Za-z0-9._-]{%d,%d})\r\nWire: (0|[1-9][0-9]{0,%d})\r\n"
+    rb"Seq: ([1-9][0-9]{0,%d})\r\n(?(1)Length|Status): (0|[1-9][0-9]{0,%d})\r\n\r\n"
+    % (TXN_MIN_LEN, TXN_MAX_LEN, len(str(MAX_WIRE_ID)) - 1, len(str(MAX_SEQ)) - 1,
+       len(str(MAX_FRAME_SIZE)) - 1)
+)
 
 # What StreamParser keeps of the frame at the front of its buffer between
 # feeds: the buffered length it needs before it is worth parsing again (its
@@ -194,6 +211,23 @@ class StreamParser:
                 raise ProtocolViolation(start + checked, "header line too long")
             self._partial = (0, max(len(buf) - pos - 3, 0), checked, lines)
             return None, 0
+        # A block that fails any check here is left to the general path,
+        # which says what is wrong with it.
+        canonical = _CANONICAL.match(buf, pos)
+        if canonical is not None:
+            send, txn, wire, seq, last = canonical.groups()
+            wire, seq, last, end = int(wire), int(seq), int(last), canonical.end()
+            if wire <= MAX_WIRE_ID and seq <= MAX_SEQ:
+                if send is None:
+                    if last in REPORT_STATUSES:
+                        return DeliveryReport(txn.decode(), wire, seq, last), end
+                elif last <= self.max_payload:
+                    stop = end + last
+                    if len(buf) < stop + 2:
+                        self._partial = (stop + 2 - pos, 0, 0, 0)
+                        return None, 0
+                    if buf[stop : stop + 2] == b"\r\n":
+                        return WirePacket(txn.decode(), wire, seq, bytes(buf[end:stop])), stop + 2
         kind, txn, pairs = _head(start, buf[pos:head_end])
         end = head_end + 4
         if kind is FrameKind.CONTROL:

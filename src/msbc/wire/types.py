@@ -110,13 +110,16 @@ WIRE_VERBS = frozenset({Verb.COMMISSIONED, Verb.AUTHORIZED})
 
 
 def validate_verb_params(verb: Verb, params: dict[str, str]) -> None:
-    """The params a verb requires: a ctid, and with a wire grant its wire id."""
+    """The params a verb requires: a ctid, and with a wire grant its wire
+    id. A Wire param, on any verb, must be a wire id."""
     if verb in CTID_VERBS:
         validate_ctid(params.get("Ctid", ""))
-    if verb in WIRE_VERBS:
-        wire = params.get("Wire")
-        if wire is None or not _decimal(wire):
-            raise InvalidFrame(f"{verb.value} requires a numeric Wire param")
+    wire = params.get("Wire")
+    if wire is None:
+        if verb in WIRE_VERBS:
+            raise InvalidFrame(f"{verb.value} requires a Wire param")
+    elif not _decimal(wire) or len(wire) > len(str(MAX_WIRE_ID)) or int(wire) > MAX_WIRE_ID:
+        raise InvalidFrame(f"invalid Wire param: {wire!r}")
 
 
 class Method(str, Enum):

@@ -21,6 +21,7 @@ from msbc.wire import (
     decode_stream,
     encode_frame,
 )
+from msbc.wire import codec
 from msbc.wire.codec import MAX_LINE_BYTES
 
 
@@ -307,12 +308,34 @@ class TestDecode:
             (b"MSBC SEND t00000001\r\nWire: 1\r\nSeq: 1\r\nLength: 2\r\n\r\nabXY", "terminator"),
             (b"MSBC SEND t00000001\r\nWire: 1\r\nWire: 2\r\nSeq: 1\r\nLength: 0\r\n\r\n\r\n", "duplicate"),
             (b"MSBC CONTROL t00000001\r\nNoColon\r\n\r\n", "header"),
+            (
+                b"MSBC CONTROL t00000001\r\nWire: 0\r\nVerb: COMMISSIONED\r\nCtid: m-1\r\n"
+                b"Wire: 4294967296\r\n\r\n",
+                "Wire param",
+            ),
+            (
+                b"MSBC CONTROL t00000001\r\nWire: 0\r\nVerb: AUTHORIZE\r\nCtid: m-1\r\n"
+                b"Wire: 4294967296\r\n\r\n",
+                "Wire param",
+            ),
         ],
     )
     def test_malformed_input_rejected(self, raw, reason_part):
         with pytest.raises(ProtocolViolation) as err:
             decode_stream(raw)
         assert reason_part.lower() in err.value.reason.lower()
+
+    def test_canonical_send_and_report_skip_the_general_path(self, monkeypatch):
+        # encode_frame's SEND and REPORT layout is the codec's compiled
+        # match; the general path's block check is never called for it.
+        monkeypatch.setattr(codec, "_head", None)
+        frames = [
+            WirePacket(txn="t00000001", wire=4, seq=1, payload=b"\r\n\r\n"),
+            DeliveryReport(txn="t00000001", wire=4, seq=1, status=200),
+        ]
+        data = b"".join(encode_frame(f) for f in frames)
+        parser = StreamParser()
+        assert [f for i in range(len(data)) for f in parser.feed(data[i : i + 1])] == frames
 
     def test_violation_offset_points_at_frame(self):
         good = encode_frame(ControlMessage(Verb.PING, {}, txn="t00000001"))

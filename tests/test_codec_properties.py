@@ -3,6 +3,7 @@ and agreement with the line-by-line reference parser."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_codec import ReferenceParser
@@ -23,8 +24,8 @@ from msbc.wire import (
     decode_stream,
     encode_frame,
 )
-from msbc.wire.codec import MAX_HEADER_COUNT, MAX_LINE_BYTES
-from msbc.wire.types import _printable
+from msbc.wire.codec import _CANONICAL, MAX_HEADER_COUNT, MAX_LINE_BYTES
+from msbc.wire.types import MAX_FRAME_SIZE, _printable
 
 token = st.text("ABCdefgh0129._-", min_size=1, max_size=12)
 txn = st.text("abcdef0123456789", min_size=8, max_size=32)
@@ -197,9 +198,9 @@ def _outcome(parser, chunks):
     return frames, ("ok", parser.consumed, parser.buffered)
 
 
-def assert_agrees(chunks):
-    ours = _outcome(StreamParser(), chunks)
-    assert ours == _outcome(ReferenceParser(), chunks)
+def assert_agrees(chunks, max_payload=MAX_FRAME_SIZE):
+    ours = _outcome(StreamParser(max_payload), chunks)
+    assert ours == _outcome(ReferenceParser(max_payload), chunks)
     return ours
 
 
@@ -239,9 +240,9 @@ def test_random_bytes_agree_with_reference(data):
 
 
 # Header and offer values at and past each field's limits.
-_values = [b"0", b"1", b"07", b"", b"63", b"99", b"480", b"700", b"999", b"1048577",
-           b"4294967296", b"18446744073709551616", b"NOPE", b"a b", b"ACK", b"BYE", b"PING",
-           b"asgw", b"secure", b"host:0"]
+_values = [b"0", b"1", b"07", b"", b"63", b"99", b"404", b"480", b"700", b"999", b"1048577",
+           b"4294967295", b"4294967296", b"18446744073709551615", b"18446744073709551616",
+           b"NOPE", b"a b", b"ACK", b"BYE", b"PING", b"asgw", b"secure", b"host:0"]
 
 
 @st.composite
@@ -350,6 +351,70 @@ def test_trickled_streams_agree_with_reference(raws, data):
         chunks.append(stream[at : at + size])
         at += size
     assert_agrees(chunks)
+
+
+# SEND and REPORT blocks in the layout encode_frame writes take the codec's
+# compiled match; every other layout takes the general path, which must
+# read them alike.
+
+
+@st.composite
+def other_layouts(draw):
+    """A SEND or REPORT and its bytes with the headers in another order or
+    an unknown header added."""
+    frame = draw(packets | reports)
+    head, _, rest = encode_frame(frame).partition(b"\r\n\r\n")
+    start, *headers = head.split(b"\r\n")
+    layout = draw(st.permutations(headers))
+    if layout == headers or draw(st.booleans()):
+        extra = b"%b: %b" % (draw(token).encode(), draw(st.text("ab 9:-", max_size=8)).encode())
+        layout.insert(draw(st.integers(0, len(layout))), extra)
+    return frame, b"\r\n".join([start, *layout]) + b"\r\n\r\n" + rest
+
+
+@given(other_layouts(), st.data())
+@differential
+def test_other_header_layouts_parse_like_the_canonical_one(case, data):
+    frame, raw = case
+    canonical = encode_frame(frame)
+    assert _CANONICAL.match(canonical) and not _CANONICAL.match(raw)
+    assert decode_stream(raw)[0] == decode_stream(canonical)[0] == [frame]
+    got, end = assert_agrees(data.draw(chunked(raw)))
+    assert got == [frame] and end == ("ok", len(raw), 0)
+
+
+def _send(wire=b"1", seq=b"1", length=b"2", payload=b"ab\r\n"):
+    """A SEND in encode_frame's layout, its fields as given."""
+    head = b"MSBC SEND t00000001\r\nWire: %b\r\nSeq: %b\r\nLength: %b\r\n\r\n"
+    return head % (wire, seq, length) + payload
+
+
+# Beside the single edits above: each number at its limits with a payload
+# still to come, and the payload's own edge cases.
+_EDGES = [
+    *(_send(wire=value) for value in (b"0", b"4294967295", b"4294967296", b"04")),
+    *(_send(seq=value) for value in (b"18446744073709551615", b"18446744073709551616", b"0", b"01")),
+    _send(length=b"64", payload=b"p" * 64 + b"\r\n"),
+    _send(length=b"65", payload=b"p" * 65 + b"\r\n"),
+    _send(length=b"02"),
+    _send(length=b"0", payload=b"\r\n"),
+    _send(payload=b"abXY"),  # no payload terminator
+    _send(payload=b"ab\r"),  # still arriving
+    _send(payload=b"\r\n\r\n") * 2,
+]
+
+
+@pytest.mark.parametrize("raw", _EDGES)
+def test_canonical_layout_edges_agree_with_reference(raw):
+    # max_payload 64 puts the Length cap in reach; byte-at-a-time feeds keep
+    # a SEND's payload arriving after its block has matched.
+    assert_agrees([raw], max_payload=64)
+    assert_agrees([raw[i : i + 1] for i in range(len(raw))], max_payload=64)
+
+
+@pytest.mark.parametrize("length", [MAX_FRAME_SIZE, MAX_FRAME_SIZE + 1])
+def test_largest_payload_agrees_with_reference(length):
+    assert_agrees([_send(length=b"%d" % length, payload=b"p" * length + b"\r\n")])
 
 
 @given(st.text())

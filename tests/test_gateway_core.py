@@ -241,3 +241,24 @@ def test_report_deadlines_resolve_in_send_order_without_a_scan(net):
         None,
     ]
     assert sum(d.done for d in sent) == 3
+
+
+@pytest.mark.parametrize("verb", [Verb.COMMISSIONED, Verb.AUTHORIZE])
+def test_a_grant_of_a_wire_past_the_wire_id_range_is_refused(net, verb):
+    # A wire id the gateway cannot write must not be installed: every
+    # later write through the gateway would be an invalid frame.
+    gw = net.home if verb is Verb.COMMISSIONED else net.provider
+    signal, _ = links(gw)
+    grant = b"MSBC CONTROL b0000001\r\nWire: 0\r\nVerb: %b\r\nCtid: meter.b\r\nWire: 4294967296\r\n\r\n"
+    signal.inbound += grant % verb.value.encode()
+    net.run_pass(gw)
+    assert signal.log[-1] == "close"  # the link that carried it is dropped
+    assert "meter.b" not in gw.attachments()
+    assert 4294967296 not in gw._core._by_wire
+    gw.transmit("meter.b", b"x")
+    if gw is net.home:
+        gw.attach_device("meter.c")
+    gw._tick(now_ms() + gw.config.keepalive_interval_ms)
+    net.settle()
+    assert gw.state is GatewayState.OPEN  # it reconnected
+    assert "meter.b" not in gw.attachments()

@@ -81,7 +81,11 @@ def broker_main(argv: list[str] | None = None) -> int:
         signal.signal(signal.SIGINT, lambda *_: stop.set())
         signal.signal(signal.SIGTERM, lambda *_: stop.set())
 
-    server.start()
+    try:
+        server.start()
+    except OSError as exc:
+        print(f"cannot listen: {exc}", file=sys.stderr)
+        return 2
     print(
         f"# signal={server.signal_endpoint} payload={server.payload_endpoint} "
         f"payload_tls={server.payload_tls_endpoint}",

@@ -24,6 +24,7 @@ machinery.
 
 from __future__ import annotations
 
+import bisect
 import threading
 import time
 from collections import deque
@@ -263,7 +264,8 @@ class GatewayCore:
         self._pending_attach: dict[str, Attachment] = {}
         self._pending_detach: dict[str, threading.Event] = {}
         self._reports: dict[str, Delivery] = {}
-        # (deadline, txn) in send order: one fixed timeout keeps it sorted
+        # (deadline, txn), sorted: appended in send order while the timeout
+        # holds, inserted in place after it is lowered
         self._deadlines: deque[tuple[float, str]] = deque()
         self._dial_at: float | None = None  # when the tick next (re)connects
         self._last_rx_ms = 0.0
@@ -387,7 +389,11 @@ class GatewayCore:
         w.seq_out += 1
         txn = self._txns.next()
         self._reports[txn] = d
-        self._deadlines.append((now + self.config.report_timeout_ms, txn))
+        due = (now + self.config.report_timeout_ms, txn)
+        if self._deadlines and due < self._deadlines[-1]:
+            bisect.insort(self._deadlines, due)
+        else:
+            self._deadlines.append(due)
         self._send(link, WirePacket(txn, w.wire, w.seq_out, payload))
         return d
 

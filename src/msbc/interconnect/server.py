@@ -11,23 +11,22 @@ peer that is reading (a parked buffer flushed to a returning provider) is
 sent in full. The core thus runs single-threaded, with no queue and no lock.
 
 Three listeners: signaling, plain payload, and TLS payload. The TLS
-listener uses a fresh self-signed certificate generated at startup, which
-is all a closed operator domain needs -- gateways connect without
-verification and rely on the channel for confidentiality only. The loop
-drives each TLS handshake; the broker sees the connection once it is done.
+listener uses a fresh self-signed certificate, which is all a closed
+operator domain needs -- gateways connect without verification and rely on
+the channel for confidentiality only. The certificate is made when the
+first TLS peer connects, so a broker that serves only plain peers never
+loads the TLS toolkit; that first connection pays a one-time cost (tens of
+ms, on the loop thread). The loop drives each TLS handshake; the broker
+sees the connection once it is done.
 """
 
 from __future__ import annotations
 
-import ipaddress
 import logging
 import socket
 import ssl
-import tempfile
 import time
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
-from pathlib import Path
 
 from msbc.interconnect.broker import Broker, BrokerConfig
 from msbc.interconnect.directory import SubscriptionDirectory
@@ -98,6 +97,7 @@ class BrokerServer:
         self._conns: dict[int, _Conn] = {}
         self._dirty: dict[int, _Conn] = {}
         self._next_conn = 0
+        self._tls: ssl.SSLContext | None = None  # made at the first TLS accept
         self.signal_endpoint = ""
         self.payload_endpoint = ""
         self.payload_tls_endpoint = ""
@@ -107,9 +107,13 @@ class BrokerServer:
     def start(self) -> None:
         cfg = self.config
         self._loop = EventLoop("msbc-broker", cfg.tick_ms, self._tick, self._flush_dirty)
-        signal_l = self._listen(cfg.signal_port, None)
-        payload_l = self._listen(cfg.payload_port, None)
-        tls_l = self._listen(cfg.payload_tls_port, _self_signed_context())
+        try:
+            signal_l = self._listen(cfg.signal_port, secure=False)
+            payload_l = self._listen(cfg.payload_port, secure=False)
+            tls_l = self._listen(cfg.payload_tls_port, secure=True)
+        except OSError:
+            self._loop.stop()  # closes the listeners already bound
+            raise
         self.signal_endpoint = _endpoint_of(signal_l)
         self.payload_endpoint = _endpoint_of(payload_l)
         self.payload_tls_endpoint = _endpoint_of(tls_l)
@@ -145,13 +149,13 @@ class BrokerServer:
         while self._dirty:
             self._flush(self._dirty.popitem()[1])
 
-    def _listen(self, port: int, tls: ssl.SSLContext | None) -> socket.socket:
+    def _listen(self, port: int, secure: bool) -> socket.socket:
         sock = socket.create_server((self.config.host, port), backlog=64)
         sock.setblocking(False)
-        self._loop.selector.register(sock, READ, lambda mask: self._accept(sock, tls))
+        self._loop.selector.register(sock, READ, lambda mask: self._accept(sock, secure))
         return sock
 
-    def _accept(self, listener: socket.socket, tls: ssl.SSLContext | None) -> None:
+    def _accept(self, listener: socket.socket, secure: bool) -> None:
         while True:
             try:
                 sock, addr = listener.accept()
@@ -159,9 +163,15 @@ class BrokerServer:
                 return
             sock.setblocking(False)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            secure = tls is not None
             if secure:
-                sock = tls.wrap_socket(sock, server_side=True, do_handshake_on_connect=False)
+                try:
+                    if self._tls is None:
+                        self._tls = _self_signed_context()
+                except Exception:  # the next TLS peer tries again
+                    log.exception("no TLS context for %s:%s", *addr[:2])
+                    close_quietly(sock)
+                    continue
+                sock = self._tls.wrap_socket(sock, server_side=True, do_handshake_on_connect=False)
             conn = _Conn(self._next_conn, sock, secure, f"{addr[0]}:{addr[1]}")
             self._next_conn += 1
             self._conns[conn.id] = conn
@@ -261,6 +271,11 @@ def _endpoint_of(listener: socket.socket) -> str:
 
 def _self_signed_context() -> ssl.SSLContext:
     """Ephemeral server certificate; peers connect without verification."""
+    import ipaddress
+    import tempfile
+    from datetime import datetime, timedelta, timezone
+    from pathlib import Path
+
     from cryptography import x509
     from cryptography.hazmat.primitives import hashes, serialization
     from cryptography.hazmat.primitives.asymmetric import ec

@@ -7,7 +7,7 @@ the tick when it is due, then the owner's ``on_pass``. Ticks come from the
 into drift and erode a watchdog's one-tick slack; after a stall the next
 tick is one interval away (skip, don't burst). A socketpair wakes the loop
 from other threads. The loop closes every socket still registered with it
-when it ends.
+when it ends, or when it is stopped without having started.
 """
 
 from __future__ import annotations
@@ -101,9 +101,13 @@ class EventLoop:
 
     def stop(self) -> None:
         """End the loop after its current pass. From another thread this
-        also joins it; the loop's own thread cannot wait for itself."""
-        self._stopping = True
-        if self._thread is not None and not self.in_loop():
+        also joins it; the loop's own thread cannot wait for itself. A loop
+        that never started closes its sockets here."""
+        was_stopping, self._stopping = self._stopping, True
+        if self._thread is None:
+            if not was_stopping:
+                self._close()
+        elif not self.in_loop():
             self._wake()
             self._thread.join(timeout=5)
 
@@ -131,10 +135,13 @@ class EventLoop:
                             deadline = now + interval
                 self._guarded(self._on_pass)
         finally:
-            for key in list(self.selector.get_map().values()):
-                close_quietly(key.fileobj)
-            self.selector.close()
-            self._wake_w.close()
+            self._close()
+
+    def _close(self) -> None:
+        for key in list(self.selector.get_map().values()):
+            close_quietly(key.fileobj)
+        self.selector.close()
+        self._wake_w.close()
 
     def _guarded(self, handler, *args) -> None:
         try:

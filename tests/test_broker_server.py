@@ -1,12 +1,21 @@
 """End-to-end socket checks for the broker server's event loop."""
 
+import logging
+import os
+import signal
 import socket
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import msbc
 from msbc.interconnect import BrokerServer, ServerConfig, parse_directory
+from msbc.interconnect import server as server_module
 from msbc.gateway.link import client_tls_context
 from msbc.session import SendSignal, make_invite, on_signal
 from msbc.wire import (
@@ -210,3 +219,115 @@ def test_stalled_tls_handshake_blocks_no_other_attach(server):
     assert len(server.broker.conns) == 2
     for sock in (silent, payload, client):
         sock.close()
+
+
+def free_port():
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        return sock.getsockname()[1]
+
+
+def child_env():
+    """The environment of a fresh interpreter that imports this checkout's msbc."""
+    src = str(Path(msbc.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def run_python(code, *args):
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=child_env(), capture_output=True, text=True, timeout=30,
+    )
+
+
+def test_a_failed_start_closes_what_it_opened():
+    signal_port = free_port()
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        config = ServerConfig(signal_port=signal_port, payload_port=taken.getsockname()[1])
+        server = BrokerServer(parse_directory(DIRECTORY), config)
+        with pytest.raises(OSError):
+            server.start()
+    socket.create_server(("127.0.0.1", signal_port)).close()  # the listener is gone
+    server.stop()  # and a stop after the failed start is harmless
+
+
+def test_a_tls_context_that_cannot_be_made_drops_only_that_peer(server, monkeypatch, caplog):
+    def no_toolkit():
+        raise ImportError("no TLS toolkit")
+
+    monkeypatch.setattr(server_module, "_self_signed_context", no_toolkit)
+    with caplog.at_level(logging.ERROR, logger="msbc.interconnect"):
+        with pytest.raises(OSError):  # the broker hangs up during the handshake
+            Client(server.payload_tls_endpoint, tls_context=client_tls_context())
+    assert any("no TLS context" in r.getMessage() for r in caplog.records)
+    # plain traffic is unaffected
+    client, sess = establish(server)
+    payload = Client(server.payload_endpoint)
+    payload.send(ControlMessage(Verb.PING, {"Call-ID": sess.call_id}, txn=payload.txns.next()))
+    assert payload.recv_frame().verb is Verb.PONG
+    # and the next TLS peer gets a context once one can be made
+    monkeypatch.undo()
+    secure = Client(server.payload_tls_endpoint, tls_context=client_tls_context())
+    secure.send(ControlMessage(Verb.PING, {"Call-ID": sess.call_id}, txn=secure.txns.next()))
+    assert secure.recv_frame().verb is Verb.PONG
+    for conn in (secure, payload, client):
+        conn.close()
+
+
+FOOTPRINT = textwrap.dedent(
+    """
+    import sys
+    from msbc.gateway import DeliveryStatus, GatewayConfig, open_gateway
+    from msbc.interconnect import BrokerServer, parse_directory
+    from msbc.wire import Access, Role, Security
+
+    with BrokerServer(parse_directory(sys.argv[1])) as srv:
+        asgw = open_gateway(GatewayConfig("as-metering", Role.ASGW, srv.signal_endpoint, provider="metering"))
+        home = open_gateway(GatewayConfig("home-gw", Role.LGW, srv.signal_endpoint, access=Access.RADIO))
+        assert home.attach_device("meter.a").wait(5).attached
+        assert home.transmit("meter.a", b"reading").wait(5) is DeliveryStatus.DELIVERED
+        home.close()
+        assert "cryptography" not in sys.modules, "a plain-only broker loaded the TLS toolkit"
+        wifi = open_gateway(GatewayConfig("wifi-gw", Role.LGW, srv.signal_endpoint, access=Access.INTERNET))
+        assert wifi.negotiated.security is Security.SECURE
+        assert "cryptography" in sys.modules
+        wifi.close()
+        asgw.close()
+    """
+)
+
+
+def test_a_broker_serving_only_plain_peers_never_loads_the_tls_toolkit():
+    # A fresh process: this one may already hold the toolkit.
+    result = run_python(FOOTPRINT, DIRECTORY)
+    assert result.returncode == 0, result.stderr
+
+
+BROKER_MAIN = "import sys; from msbc.cli import broker_main; sys.exit(broker_main(sys.argv[1:]))"
+
+
+def test_broker_cli_prints_its_endpoints_and_exits_cleanly_on_sigterm(tmp_path):
+    directory = tmp_path / "directory"
+    directory.write_text(DIRECTORY)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", BROKER_MAIN, "--directory", str(directory), "--log-level", "warning"],
+        env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("# signal=127.0.0.1:") and " payload=" in line and " payload_tls=" in line
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=5) == 0
+    finally:
+        proc.kill()
+        proc.communicate()
+
+
+def test_broker_cli_exits_2_when_a_port_is_taken(tmp_path):
+    directory = tmp_path / "directory"
+    directory.write_text(DIRECTORY)
+    config = tmp_path / "broker.conf"
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        config.write_text(f"payload_port = {taken.getsockname()[1]}\n")
+        result = run_python(BROKER_MAIN, "--directory", str(directory), "--config", str(config))
+    assert result.returncode == 2
+    assert result.stderr.startswith("cannot listen: ")

@@ -243,6 +243,19 @@ def test_report_deadlines_resolve_in_send_order_without_a_scan(net):
     assert sum(d.done for d in sent) == 3
 
 
+def test_a_lowered_report_timeout_holds_for_the_next_packet(net):
+    core: GatewayCore = net.home._core
+    t = now_ms()
+    first = core.transmit("meter.a", b"x", t)  # the default 2,000 ms
+    core.config.report_timeout_ms = 100.0
+    second = core.transmit("meter.a", b"y", t + 10.0)
+    core.out.clear()  # never written: no report can come
+    core.on_tick(t + 150.0)
+    assert (first.status, second.status) == (None, DeliveryStatus.PEER_UNAVAILABLE)
+    core.on_tick(t + 2000.0)
+    assert first.status is DeliveryStatus.PEER_UNAVAILABLE
+
+
 @pytest.mark.parametrize("verb", [Verb.COMMISSIONED, Verb.AUTHORIZE])
 def test_a_grant_of_a_wire_past_the_wire_id_range_is_refused(net, verb):
     # A wire id the gateway cannot write must not be installed: every

@@ -8,12 +8,13 @@ to write per link, the links to close and the connections to open.
 broker (signaling and payload) and one ``msbc.loop.EventLoop`` thread,
 started by ``open()`` and joined by ``close()``/``abort()``. Each loop pass
 feeds every ready link's chunk to the core under one hold of the dispatch
-lock, then writes each link's queued frames with one ``send``; the tick
-resolves report deadlines, sends keepalives and, once a reconnect deadline
-comes due, re-establishes the whole session after a loss. Calls from the
-application (``transmit``, ``attach_device``, ...) write on the caller's
-thread. Every call into the core holds the lock, so fault flips never
-interleave with a half-processed chunk.
+lock, then writes each link's queued frames with one ``send``. At the
+core's ``next_deadline()`` the tick resolves overdue reports, sends a
+keepalive or, after a loss, re-establishes the whole session. Calls from
+the application (``transmit``, ``attach_device``, ...) write on the
+caller's thread, and wake the loop if they move that deadline earlier.
+Every call into the core holds the lock, so fault flips never interleave
+with a half-processed chunk.
 
 Receiver callbacks run on the loop thread with that lock held: keep them
 quick. Calling back into the gateway from a callback is fine (the lock is
@@ -38,6 +39,7 @@ from msbc.session import (
     SendSignal,
     Session,
     SessionState,
+    keepalive_deadline,
     liveness,
     make_bye,
     make_invite,
@@ -239,7 +241,7 @@ class GatewayCore:
     ``on_connected``. A link is any hashable handle the caller picks; one
     the core forgets without closing is abandoned, as a dead radio path
     leaves it. Receiver callbacks run, and futures resolve, on the calling
-    thread.
+    thread. ``on_tick`` has work only once ``next_deadline()`` has passed.
     """
 
     def __init__(self, config: GatewayConfig, receiver: Receiver):
@@ -651,30 +653,41 @@ class GatewayCore:
         _safe(self.receiver.on_data, w.ctid, pkt.payload)
         self._send(link, DeliveryReport(pkt.txn, pkt.wire, pkt.seq, STATUS_DELIVERED))
 
-    # ------------------------------------------------------------------ tick
+    # ---------------------------------------------------------------- timers
+
+    def next_deadline(self) -> float | None:
+        """The earliest ``now`` at which ``on_tick`` may have work, or None; read without the lock."""
+        cfg, state = self.config, self.state
+        due = self._dial_at if self._signal is None else None
+        if state is GatewayState.OPEN or state is GatewayState.CONNECTING:
+            alive = keepalive_deadline(
+                self._last_rx_ms, self._last_ping_ms, cfg.keepalive_interval_ms, cfg.keepalive_misses,
+                state is GatewayState.OPEN,
+            )
+            due = alive if due is None else min(due, alive)
+        try:
+            report = self._deadlines[0][0]
+        except IndexError:  # none, or another thread emptied the queue meanwhile
+            return due
+        return report if due is None else min(due, report)
 
     def on_tick(self, now: float) -> None:
         cfg = self.config
         deadlines, reports = self._deadlines, self._reports
-        while deadlines and deadlines[0][0] <= now:
+        # due entries resolve; answered ones at the head go too: the head is awaited
+        while deadlines and (deadlines[0][0] <= now or deadlines[0][1] not in reports):
             d = reports.pop(deadlines.popleft()[1], None)
             if d is not None:
                 d._resolve(DeliveryStatus.PEER_UNAVAILABLE)
-        if self.state is GatewayState.OPEN and self.session is not None:
-            verdict = liveness(
-                self._last_rx_ms, now, cfg.keepalive_interval_ms, cfg.keepalive_misses
-            )
+        state = self.state
+        if state is GatewayState.OPEN or state is GatewayState.CONNECTING:
+            verdict = liveness(self._last_rx_ms, now, cfg.keepalive_interval_ms, cfg.keepalive_misses)
             if verdict is Keepalive.EXPIRED:
-                self._lost_session("watchdog", now)
-            elif (
-                verdict is Keepalive.SEND_PING
-                and now - self._last_ping_ms >= cfg.keepalive_interval_ms
-            ):
-                self._last_ping_ms = now
-                self._send_control(Verb.PING, {})
-        elif self.state is GatewayState.CONNECTING:
-            if now - self._last_rx_ms >= cfg.keepalive_interval_ms * cfg.keepalive_misses:
-                self._lost_session("connect-timeout", now)
+                self._lost_session("watchdog" if state is GatewayState.OPEN else "connect-timeout", now)
+            elif verdict is Keepalive.SEND_PING and state is GatewayState.OPEN:
+                if now >= self._last_ping_ms + cfg.keepalive_interval_ms:
+                    self._last_ping_ms = now
+                    self._send_control(Verb.PING, {})
         if self._signal is None and self._dial_at is not None and now >= self._dial_at:
             self._dial_at = now + self._backoff_ms  # when to try again, should this fail
             self._backoff_ms = min(self._backoff_ms * 2, cfg.reconnect_max_ms)
@@ -699,8 +712,9 @@ class Gateway:
 
     def open(self, wait: bool = True, timeout: float = 10.0) -> "Gateway":
         with self._mu:
-            if self._core.open(_now_ms()):
-                self._tick_soon()  # the tick dials
+            if self._locked(self._core.open, _now_ms()) and self._loop is None:
+                self._loop = EventLoop("msbc-gateway", self._core.next_deadline, self._tick, self._pass)
+                self._loop.start()  # its first tick dials
         if wait:
             self.wait_until_open(timeout)
         return self
@@ -781,18 +795,19 @@ class Gateway:
         """Abandon the current links mid-flight (no FIN, pure silence) and
         re-open from a new source address and/or access network. Models a
         physical uplink change."""
-        with self._mu:
-            if self._core.switch_endpoint(local_address, access, _now_ms()):
-                self._tick_soon()
-            self._flush()
+        self._locked(self._core.switch_endpoint, local_address, access, _now_ms())
 
     # ------------------------------------------------------------- internals
 
     def _locked(self, call, *args):
         """Make one call into the core under the lock, then write what it queued."""
         with self._mu:
+            was = self._core.next_deadline()  # the loop wakes by then at the latest
             result = call(*args)
             self._flush()
+            due = self._core.next_deadline()
+            if due is not None and (was is None or due < was) and self._loop is not None:
+                self._loop.wake()
         return result
 
     def _flush(self) -> None:
@@ -810,14 +825,6 @@ class Gateway:
             for link in core.closes:
                 link.close()
             core.closes.clear()
-
-    def _tick_soon(self) -> None:
-        if self._loop is None:
-            tick = min(max(self.config.keepalive_interval_ms / 4.0, 5.0), 250.0)
-            self._loop = EventLoop("msbc-gateway", tick, self._tick, self._pass)
-            self._loop.start()
-        else:
-            self._loop.tick_soon()
 
     def _tick(self, now: float) -> None:
         self._locked(self._core.on_tick, now)

@@ -18,6 +18,7 @@ protocol_error, denied.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -29,6 +30,7 @@ from msbc.session import (
     Unacceptable,
     accept,
     answer_offer,
+    keepalive_deadline,
     liveness,
     on_signal,
     receive_invite,
@@ -95,9 +97,10 @@ class _BrokerSession:
     conn_signal: int | None = None
     conn_payload: int | None = None
     allocator: WireAllocator = field(default_factory=WireAllocator)
-    releasing: dict[str, int] = field(default_factory=dict)
+    releasing: dict[str, list[int]] = field(default_factory=dict)  # ctid -> wires, oldest first
     last_ping_ms: float = -1e18
     last_activity: float = 0.0  # now_ms of its last frame; the watchdog reads it
+    due_ms: float = 0.0  # its live entry in Broker._timers; others there are stale
 
 
 @dataclass
@@ -145,6 +148,7 @@ class Broker:
         self.txns = TxnGenerator(prefix="b")
         self.pending_auth: dict[tuple[str, str], _PendingAuth] = {}
         self.pending_relay: dict[tuple[str, str], _Relay] = {}
+        self._timers: list[tuple[float, str]] = []  # (due, session id) heap; frames leave it early
         self.payload_endpoints: dict[Security, str] = {}
         self.now_ms = 0.0
 
@@ -194,27 +198,37 @@ class Broker:
         self.now_ms = now_ms
         self._conn_gone(conn_id, self.conns.pop(conn_id, None), "connection-lost")
 
+    def next_deadline(self) -> float | None:
+        """The earliest now_ms at which ``on_tick`` may have work, or None."""
+        due = self._timers[0][0] if self._timers else None
+        if self.pending_auth:  # one timeout for all: the first inserted is due first
+            auth = next(iter(self.pending_auth.values())).deadline_ms
+            due = auth if due is None else min(due, auth)
+        return due
+
     def on_tick(self, now_ms: float) -> None:
         self.now_ms = now_ms
         cfg = self.config
-        for bs in list(self.sessions.values()):
-            state = bs.session.state
-            if state is SessionState.CLOSED:
+        while self._timers and self._timers[0][0] <= now_ms:
+            due, sid = heapq.heappop(self._timers)
+            bs = self.sessions.get(sid)
+            if bs is None or bs.due_ms != due:
                 continue
-            verdict = liveness(
-                bs.last_activity, now_ms, cfg.keepalive_interval_ms, cfg.keepalive_misses
-            )
+            verdict = liveness(bs.last_activity, now_ms, cfg.keepalive_interval_ms, cfg.keepalive_misses)
             if verdict is Keepalive.EXPIRED:
                 silent = now_ms - bs.last_activity
                 self._event("watchdog_expired", session=bs.id, detail=f"silent_ms={silent:.0f}")
                 self._session_lost(bs, "watchdog")
-            elif verdict is Keepalive.SEND_PING and state is SessionState.ESTABLISHED:
-                if now_ms - bs.last_ping_ms >= cfg.keepalive_interval_ms:
+                continue
+            if verdict is Keepalive.SEND_PING and bs.session.state is SessionState.ESTABLISHED:
+                if now_ms >= bs.last_ping_ms + cfg.keepalive_interval_ms:
                     bs.last_ping_ms = now_ms
                     self._send_control(bs, Verb.PING, {})
-        for key, pending in list(self.pending_auth.items()):
+            self._arm(bs)
+        while self.pending_auth:
+            key, pending = next(iter(self.pending_auth.items()))
             if now_ms < pending.deadline_ms:
-                continue
+                break
             del self.pending_auth[key]
             asgw = self.sessions.get(pending.asgw_id)
             if asgw is not None:
@@ -227,6 +241,14 @@ class Broker:
                         Verb.ERROR,
                         {"Ctid": pending.ctid, "Reason": "provider-timeout"},
                     )
+
+    def _arm(self, bs: _BrokerSession) -> None:
+        """File ``bs``'s timer: its next PING once established, else its expiry."""
+        cfg, probing = self.config, bs.session.state is SessionState.ESTABLISHED
+        bs.due_ms = keepalive_deadline(
+            bs.last_activity, bs.last_ping_ms, cfg.keepalive_interval_ms, cfg.keepalive_misses, probing
+        )
+        heapq.heappush(self._timers, (bs.due_ms, bs.id))
 
     # -- frame dispatch ------------------------------------------------------
 
@@ -300,6 +322,7 @@ class Broker:
             last_activity=self.now_ms,
         )
         self.sessions[bs.id] = bs
+        self._arm(bs)
         conn.kind = "signal"
         conn.session_id = bs.id
         self._send_raw(conn_id, encode_frame(out))
@@ -310,6 +333,7 @@ class Broker:
             session=bs.id,
             detail=f"role={bs.role.value} subscriber={bs.subscriber}",
         )
+        self._arm(bs)
         for other in list(self.sessions.values()):
             if other.id == bs.id or other.session.state is not SessionState.ESTABLISHED:
                 continue
@@ -531,9 +555,12 @@ class Broker:
         self._remove_entry(entry, reason=f"decommission by {bs.id}")
 
     def _on_teardown_ack(self, bs: _BrokerSession, msg: ControlMessage) -> None:
-        wire = bs.releasing.pop(msg.ctid, None)
-        if wire is None:
+        wires = bs.releasing.get(msg.ctid)
+        if not wires:
             return
+        wire = wires.pop(0)  # acks come in the order the releases went out
+        if not wires:
+            del bs.releasing[msg.ctid]
         bs.allocator.finish_release(wire)
         self._event("released", session=bs.id, ctid=msg.ctid, wire=wire)
 
@@ -552,7 +579,7 @@ class Broker:
             if owner is None or owner.session.state is not SessionState.ESTABLISHED:
                 continue
             owner.allocator.start_release(end.wire)
-            owner.releasing[entry.ctid] = end.wire
+            owner.releasing.setdefault(entry.ctid, []).append(end.wire)
             self._send_control(owner, Verb.DECOMMISSIONED, {"Ctid": entry.ctid})
         self._event("decommissioned", ctid=entry.ctid, detail=reason)
 
@@ -661,8 +688,9 @@ class Broker:
             return
         del self.sessions[bs.id]
         self._event("session_closed", session=bs.id, detail=reason)
-        for ctid, wire in bs.releasing.items():
-            self._event("released", session=bs.id, ctid=ctid, wire=wire)
+        for ctid, wires in bs.releasing.items():
+            for wire in wires:
+                self._event("released", session=bs.id, ctid=ctid, wire=wire)
         bs.releasing.clear()
         for entry in self.table.entries_for_session(bs.id):
             side = entry.side_for(bs.id)
@@ -679,7 +707,7 @@ class Broker:
                     owner = self.sessions.get(peer.session_id)
                     if owner is not None:
                         owner.allocator.start_release(peer.wire)
-                        owner.releasing[entry.ctid] = peer.wire
+                        owner.releasing.setdefault(entry.ctid, []).append(peer.wire)
                         self._send_control(owner, Verb.PEER_DOWN, {"Ctid": entry.ctid})
             else:
                 self.table.unbind(entry, "asgw")

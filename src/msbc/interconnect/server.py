@@ -2,9 +2,9 @@
 
 Threading model: the server runs on one ``msbc.loop.EventLoop`` thread,
 which owns every socket. A pass feeds one chunk from each readable
-connection to ``Broker.on_bytes``; after the tick, it flushes the write
-buffers the outbox appended to, so frames written in one pass leave in one
-``send``. A connection counts as lost once its unsent bytes pass
+connection to ``Broker.on_bytes``, ticks the core when due, then flushes the
+write buffers the outbox appended to, so frames written in one pass leave in
+one ``send``. A connection counts as lost once its unsent bytes pass
 ``buffer_max_bytes`` and no byte has left it for a keepalive interval, so a
 peer that stops reading cannot stall the others, while a large burst to a
 peer that is reading (a parked buffer flushed to a returning provider) is
@@ -25,7 +25,6 @@ from __future__ import annotations
 import logging
 import socket
 import ssl
-import time
 from dataclasses import dataclass
 
 from msbc.interconnect.broker import Broker, BrokerConfig
@@ -45,11 +44,6 @@ class ServerConfig(BrokerConfig):
     payload_port: int = 0
     payload_tls_port: int = 0
 
-    @property
-    def tick_ms(self) -> float:
-        # Frequent enough to keep watchdog latency within one interval slice.
-        return min(1000.0, max(5.0, self.keepalive_interval_ms / 4))
-
 
 class _Conn:
     """One accepted socket and the bytes the broker has queued for it."""
@@ -60,7 +54,7 @@ class _Conn:
         self.peer = peer
         self.handshaking = secure
         self.out = bytearray()
-        self.stalled_since: float | None = None  # last progress while bytes wait
+        self.retry_at: float | None = None  # while bytes wait: last progress + keepalive interval
         self.events = READ
         self.closed = False
 
@@ -96,6 +90,7 @@ class BrokerServer:
         self._loop: EventLoop | None = None
         self._conns: dict[int, _Conn] = {}
         self._dirty: dict[int, _Conn] = {}
+        self._stalled: dict[int, _Conn] = {}  # over buffer_max_bytes unsent
         self._next_conn = 0
         self._tls: ssl.SSLContext | None = None  # made at the first TLS accept
         self.signal_endpoint = ""
@@ -106,7 +101,7 @@ class BrokerServer:
 
     def start(self) -> None:
         cfg = self.config
-        self._loop = EventLoop("msbc-broker", cfg.tick_ms, self._tick, self._flush_dirty)
+        self._loop = EventLoop("msbc-broker", self._next_deadline, self._tick, self._flush_dirty)
         try:
             signal_l = self._listen(cfg.signal_port, secure=False)
             payload_l = self._listen(cfg.payload_port, secure=False)
@@ -140,10 +135,18 @@ class BrokerServer:
 
     # -- the event loop ------------------------------------------------------
 
+    def _next_deadline(self) -> float | None:
+        due = self.broker.next_deadline()
+        if self._stalled:
+            retry = min(c.retry_at for c in self._stalled.values())
+            due = retry if due is None else min(due, retry)
+        return due
+
     def _tick(self, now: float) -> None:
         self.broker.on_tick(now)
-        # retry (and time out) peers that have stopped reading
-        self._dirty.update((c.id, c) for c in self._conns.values() if c.out)
+        if self._stalled:  # retry (and time out) peers that have stopped reading
+            for conn in [c for c in self._stalled.values() if now >= c.retry_at]:
+                self._flush(conn)
 
     def _flush_dirty(self) -> None:
         while self._dirty:
@@ -225,16 +228,17 @@ class BrokerServer:
             return
         del conn.out[:sent]
         if not conn.out:
-            conn.stalled_since = None
-        elif sent or conn.stalled_since is None:
-            conn.stalled_since = time.monotonic()
-        elif (
-            len(conn.out) > self.config.buffer_max_bytes
-            and time.monotonic() - conn.stalled_since > self.config.keepalive_interval_ms / 1000.0
-        ):
+            conn.retry_at = None
+        elif sent or conn.retry_at is None:
+            conn.retry_at = now_ms() + self.config.keepalive_interval_ms
+        elif len(conn.out) > self.config.buffer_max_bytes and now_ms() >= conn.retry_at:
             log.warning("connection %d lost: %d unsent bytes", conn.id, len(conn.out))
             self._lost(conn)
             return
+        if len(conn.out) > self.config.buffer_max_bytes:
+            self._stalled[conn.id] = conn
+        elif self._stalled:
+            self._stalled.pop(conn.id, None)
         self._watch(conn, READ | WRITE if conn.out else READ)
 
     def _watch(self, conn: _Conn, events: int) -> None:
@@ -260,6 +264,7 @@ class BrokerServer:
         conn.closed = True
         del self._conns[conn.id]
         self._dirty.pop(conn.id, None)
+        self._stalled.pop(conn.id, None)
         self._loop.unregister(conn.sock)
         close_quietly(conn.sock)
 

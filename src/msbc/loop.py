@@ -2,11 +2,12 @@
 and every gateway.
 
 Each pass calls the handler of every ready socket with its event mask, runs
-the tick when it is due, then the owner's ``on_pass``. Ticks come from the
-``select`` timeout at absolute deadlines, so wakeup jitter does not pile up
-into drift and erode a watchdog's one-tick slack; after a stall the next
-tick is one interval away (skip, don't burst). A socketpair wakes the loop
-from other threads. The loop closes every socket still registered with it
+the tick once the owner's ``next_deadline()`` (``now_ms`` clock, or None)
+has passed, then the owner's ``on_pass``; ``select`` sleeps until that
+deadline. A deadline may come early, never late, and ``on_tick(now)``
+leaves the next one later than ``now``, so the loop cannot spin. A
+socketpair wakes the loop from other threads, as when one moves the
+deadline earlier. The loop closes every socket still registered with it
 when it ends, or when it is stopped without having started.
 """
 
@@ -58,25 +59,24 @@ def close_quietly(sock: socket.socket) -> None:
 
 class EventLoop:
     """``selector`` maps each socket to its handler; ``on_tick(now_ms)``
-    runs every ``tick_ms``. Both run on the loop's thread."""
+    runs once ``next_deadline()`` has passed, all on the loop's thread."""
 
     def __init__(
         self,
         name: str,
-        tick_ms: float,
+        next_deadline: Callable[[], float | None],
         on_tick: Callable[[float], None],
         on_pass: Callable[[], None],
     ):
         self.name = name
         self.selector = selectors.DefaultSelector()
-        self._interval = tick_ms / 1000.0
+        self._next_deadline = next_deadline
         self._on_tick = on_tick
         self._on_pass = on_pass
         wake_r, self._wake_w = socket.socketpair()
         wake_r.setblocking(False)
         self._wake_w.setblocking(False)
         self.selector.register(wake_r, READ, lambda mask: wake_r.recv(4096))
-        self._tick_now = False
         self._stopping = False
         self._thread: threading.Thread | None = None
 
@@ -94,11 +94,6 @@ class EventLoop:
     def in_loop(self) -> bool:
         return threading.current_thread() is self._thread
 
-    def tick_soon(self) -> None:
-        """Run the tick on the next pass; safe from any thread."""
-        self._tick_now = True
-        self._wake()
-
     def stop(self) -> None:
         """End the loop after its current pass. From another thread this
         also joins it; the loop's own thread cannot wait for itself. A loop
@@ -108,31 +103,25 @@ class EventLoop:
             if not was_stopping:
                 self._close()
         elif not self.in_loop():
-            self._wake()
+            self.wake()
             self._thread.join(timeout=5)
 
-    def _wake(self) -> None:
+    def wake(self) -> None:
+        """End the current ``select`` (the deadline may be earlier); safe from any thread."""
         try:
             self._wake_w.send(b"\0")
         except OSError:  # a wake is already pending, or the loop has ended
             pass
 
     def _run(self) -> None:
-        interval = self._interval
-        deadline = time.monotonic()
         try:
             while not self._stopping:
-                timeout = 0.0 if self._tick_now else max(0.0, deadline - time.monotonic())
+                due = self._guarded(self._next_deadline)
+                timeout = None if due is None else max(0.0, due / 1000.0 - time.monotonic())
                 for key, mask in self.selector.select(timeout):
                     self._guarded(key.data, mask)
-                now = time.monotonic()
-                if self._tick_now or now >= deadline:
-                    self._tick_now = False
-                    self._guarded(self._on_tick, now * 1000.0)
-                    if now >= deadline:
-                        deadline += interval
-                        if deadline < now:  # stalled; skip, don't burst
-                            deadline = now + interval
+                if due is not None and (now := time.monotonic() * 1000.0) >= due:
+                    self._guarded(self._on_tick, now)
                 self._guarded(self._on_pass)
         finally:
             self._close()
@@ -143,8 +132,8 @@ class EventLoop:
         self.selector.close()
         self._wake_w.close()
 
-    def _guarded(self, handler, *args) -> None:
+    def _guarded(self, handler, *args):
         try:
-            handler(*args)
-        except Exception:
+            return handler(*args)
+        except Exception:  # logged; the result is None
             log.exception("%s event loop: %r failed", self.name, handler)

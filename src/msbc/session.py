@@ -307,18 +307,19 @@ def on_signal(
     return session, []
 
 
-def keepalive_due(session: Session, now: float, interval_ms: float, misses: int) -> Keepalive:
-    """Watchdog decision for an established session based on inbound silence."""
-    return liveness(session.last_activity, now, interval_ms, misses)
-
-
 def liveness(last_activity: float, now: float, interval_ms: float, misses: int) -> Keepalive:
-    gap = now - last_activity
-    if gap >= interval_ms * misses:
+    if now >= last_activity + interval_ms * misses:
         return Keepalive.EXPIRED
-    if gap >= interval_ms:
+    if now >= last_activity + interval_ms:
         return Keepalive.SEND_PING
     return Keepalive.OK
+
+
+def keepalive_deadline(last_rx: float, last_ping: float, interval_ms: float, misses: int, probing: bool) -> float:
+    """When ``liveness``, comparing the same sums, next calls for a PING or
+    the expiry; a peer not ``probing`` (still setting up) has only the expiry."""
+    expiry = last_rx + interval_ms * misses
+    return min(max(last_rx, last_ping) + interval_ms, expiry) if probing else expiry
 
 
 def _response(

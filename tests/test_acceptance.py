@@ -104,7 +104,8 @@ def test_c3_clean_shutdown_releases_every_wire():
 
 def test_c4_watchdog_flags_a_dead_uplink_in_time():
     runner, report = _run("watchdog")
-    # 200 ms interval, 3 misses, one 50 ms broker tick of slack
+    # 200 ms interval, 3 misses: the broker's timer fires at 600 ms; 50 ms of
+    # slack for scheduling
     budget_ms = 200.0 * 3 + 50.0
     detect = report.watchdog_detect_ms
     peer_down = runner.server.broker.events.count("peer_down")

@@ -447,6 +447,37 @@ def test_teardown_state_is_clean_only_once_every_wire_is_released(pair):
     }
 
 
+def test_a_ctid_decommissioned_twice_before_its_first_ack_releases_both_wires(pair):
+    # A slow peer acks late: the second release of a ctid must not hide the
+    # first, or that wire stays quarantined for the life of the session.
+    rig, lgw, asgw = pair
+    first = commission(rig, lgw, asgw, "meter.1")
+    lgw.control(Verb.DECOMMISSION, {"Ctid": "meter.1"})
+    second = commission(rig, lgw, asgw, "meter.1")
+    lgw.control(Verb.DECOMMISSION, {"Ctid": "meter.1"})
+    assert first != second  # the first pair is still quarantined
+    for gw in (lgw, asgw):
+        for _ in range(2):
+            gw.control(Verb.DECOMMISSIONED, {"Ctid": "meter.1"})
+    for bs in rig.broker.sessions.values():
+        assert not bs.allocator.quarantined and not bs.releasing
+    assert rig.broker.teardown_state()["holding_wires"] == []
+    released = [(e.session, e.wire) for e in rig.kinds("released")]
+    for gw, wires in ((lgw, (first[0], second[0])), (asgw, (first[1], second[1]))):
+        assert [w for sid, w in released if sid == gw.session.call_id] == list(wires)
+
+
+def test_a_lost_session_reports_every_wire_it_was_releasing(pair):
+    rig, lgw, asgw = pair
+    first = commission(rig, lgw, asgw, "meter.1")
+    lgw.control(Verb.DECOMMISSION, {"Ctid": "meter.1"})
+    second = commission(rig, lgw, asgw, "meter.1")
+    lgw.control(Verb.DECOMMISSION, {"Ctid": "meter.1"})
+    rig.broker.on_disconnect(asgw.signal, rig.now)
+    released = [e.wire for e in rig.kinds("released") if e.session == asgw.session.call_id]
+    assert released == [first[1], second[1]]
+
+
 def test_decommission_unknown_is_idempotent(pair):
     rig, lgw, _ = pair
     lgw.control(Verb.DECOMMISSION, {"Ctid": "meter.zz"})

@@ -198,6 +198,29 @@ def test_peer_that_never_reads_stalls_nobody_and_is_dropped():
         live.close()
 
 
+def test_a_quiet_peer_that_never_reads_is_dropped_by_its_unsent_byte_deadline(caplog):
+    # Once it goes quiet nothing more is written to this payload connection,
+    # so only its own deadline, one interval after its last progress, can
+    # drop it before the session's watchdog does, three intervals on.
+    config = ServerConfig(keepalive_interval_ms=400, buffer_max_bytes=256 * 1024)
+    with BrokerServer(parse_directory(DIRECTORY), config) as server:
+        client, sess = establish(server, subscriber="stuck-gw")
+        payload = Client(server.payload_endpoint)
+        payload.send(ControlMessage(Verb.PING, {"Call-ID": sess.call_id}, txn=payload.txns.next()))
+        params = {f"Pad-{i}": "x" * 4000 for i in range(15)}  # echoed in each PONG
+        deadline = time.monotonic() + 15
+        while not server._stalled and time.monotonic() < deadline:
+            payload.send(ControlMessage(Verb.PING, params, txn=payload.txns.next()))
+        assert server._stalled
+        deadline = time.monotonic() + 5
+        while "unsent bytes" not in caplog.text and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert "unsent bytes" in caplog.text
+        assert server.events.count("watchdog_expired") == 0
+        client.close()
+        payload.close()
+
+
 def test_unknown_dialog_error_arrives_before_eof(server):
     payload = Client(server.payload_endpoint)
     payload.send(ControlMessage(Verb.PING, {"Call-ID": "c-nope"}, txn=payload.txns.next()))

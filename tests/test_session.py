@@ -16,7 +16,6 @@ from msbc.session import (
     Unacceptable,
     accept,
     answer_offer,
-    keepalive_due,
     liveness,
     make_bye,
     make_invite,
@@ -282,12 +281,6 @@ def test_unknown_call_id_response_dropped():
 )
 def test_liveness_boundaries(gap, expected):
     assert liveness(1000.0, 1000.0 + gap, 200, 3) is expected
-
-
-def test_keepalive_reads_last_activity():
-    caller, _ = established_pair()
-    assert keepalive_due(caller, caller.last_activity + 50, 200, 3) is Keepalive.OK
-    assert keepalive_due(caller, caller.last_activity + 250, 200, 3) is Keepalive.SEND_PING
 
 
 def test_processed_message_refreshes_activity():

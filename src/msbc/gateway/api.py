@@ -504,7 +504,7 @@ class GatewayCore:
         self._last_rx_ms = now
         if isinstance(frame, SignalMessage):
             if link is self._signal:
-                self._handle_signal(frame, now)
+                self._handle_signal(frame)
         elif isinstance(frame, ControlMessage):
             self._handle_control(link, frame)
         elif isinstance(frame, WirePacket):
@@ -514,12 +514,12 @@ class GatewayCore:
             if d is not None:
                 d._resolve(_STATUS_MAP.get(frame.status, DeliveryStatus.PEER_UNAVAILABLE))
 
-    def _handle_signal(self, msg: SignalMessage, now: float) -> None:
+    def _handle_signal(self, msg: SignalMessage) -> None:
         sess = self.session
         if sess is None:
             return
         before = sess.state
-        sess2, actions = on_signal(sess, msg, now, txn=self._txns.next())
+        sess2, actions = on_signal(sess, msg, txn=self._txns.next())
         self.session = sess2
         rejected: DialogRejected | None = None
         for action in actions:

@@ -10,6 +10,13 @@ Connection lifecycle: a fresh connection is untyped until its first frame.
 An INVITE makes it the session's signaling connection; a service-wire PING
 carrying ``Call-ID`` binds it as the payload connection of that dialog.
 
+Packet path: a SEND goes on under a fresh broker txn and is filed, as it
+arrived and with its source session, in ``pending_relay`` until the far side
+reports on it; the REPORT then goes back under the sender's own txn. While a
+provider is away its entries park the arriving packets in order
+(``Entry.buffer``) and flush them to the session that authorizes them next.
+Every session leaves through ``_session_lost``, whatever ended it.
+
 Event kinds logged here: session_established, session_closed, commissioned,
 decommissioned, released, rebound, peer_down, peer_up, buffering,
 buffer_flush, buffer_dropped, packet_dropped, watchdog_expired,
@@ -113,23 +120,6 @@ class _PendingAuth:
     requester: str = ""  # lgw session id for commissions
 
 
-@dataclass
-class _Relay:
-    src_session: str
-    src_txn: str
-    src_wire: int
-    src_seq: int
-
-
-@dataclass
-class _Buffered:
-    payload: bytes
-    src_session: str
-    src_txn: str
-    src_wire: int
-    src_seq: int
-
-
 class Broker:
     def __init__(
         self,
@@ -147,7 +137,9 @@ class Broker:
         self.sessions: dict[str, _BrokerSession] = {}
         self.txns = TxnGenerator(prefix="b")
         self.pending_auth: dict[tuple[str, str], _PendingAuth] = {}
-        self.pending_relay: dict[tuple[str, str], _Relay] = {}
+        # (destination session, broker txn) -> (source session, the SEND as it
+        # arrived); Entry.buffer holds the same pairs while an entry is parked.
+        self.pending_relay: dict[tuple[str, str], tuple[str, WirePacket]] = {}
         self._timers: list[tuple[float, str]] = []  # (due, session id) heap; frames leave it early
         self.payload_endpoints: dict[Security, str] = {}
         self.now_ms = 0.0
@@ -230,17 +222,7 @@ class Broker:
             if now_ms < pending.deadline_ms:
                 break
             del self.pending_auth[key]
-            asgw = self.sessions.get(pending.asgw_id)
-            if asgw is not None:
-                asgw.allocator.cancel(pending.wire)
-            if pending.kind == "commission":
-                requester = self.sessions.get(pending.requester)
-                if requester is not None:
-                    self._send_control(
-                        requester,
-                        Verb.ERROR,
-                        {"Ctid": pending.ctid, "Reason": "provider-timeout"},
-                    )
+            self._end_auth(pending, "provider-timeout")
 
     def _arm(self, bs: _BrokerSession) -> None:
         """File ``bs``'s timer: its next PING once established, else its expiry."""
@@ -277,7 +259,7 @@ class Broker:
             return
         bs.last_activity = self.now_ms
         before = bs.session.state
-        bs.session, actions = on_signal(bs.session, msg, self.now_ms, txn=self.txns.next())
+        bs.session, actions = on_signal(bs.session, msg, txn=self.txns.next())
         for action in actions:
             if isinstance(action, SendSignal):
                 self._send_raw(conn_id, encode_frame(action.msg))
@@ -289,7 +271,7 @@ class Broker:
 
     def _on_invite(self, conn_id: int, conn: _Conn, msg: SignalMessage) -> None:
         offer = msg.body
-        sess = receive_invite(msg, self.now_ms, remote_endpoint=conn.peer)
+        sess = receive_invite(msg, remote_endpoint=conn.peer)
         role, provider = offer.role, offer.provider
         if role is Role.ASGW:
             record = self.directory.providers.get(provider or "")
@@ -340,7 +322,7 @@ class Broker:
             if bs.role is Role.LGW and other.role is Role.LGW and other.subscriber == bs.subscriber:
                 self._supersede_lgw(other, bs)
             elif bs.role is Role.ASGW and other.role is Role.ASGW and other.provider == bs.provider:
-                self._supersede_asgw(other, bs)
+                self._session_lost(other, "superseded")
         if bs.role is Role.ASGW:
             self._provider_return(bs)
 
@@ -353,18 +335,6 @@ class Broker:
             wire = new.allocator.allocate()
             self.table.bind(entry, "lgw", End(new.id, wire))
             self._event("rebound", session=new.id, ctid=entry.ctid, wire=wire, detail=f"from={old.id}")
-        self._session_lost(old, "superseded")
-
-    def _supersede_asgw(self, old: _BrokerSession, new: _BrokerSession) -> None:
-        """Same provider reconnected (a hung process replaced): park its
-        wires for the newcomer. Packets in flight to the old session are
-        answered 480 by the retire sweep in _session_lost."""
-        for entry in self.table.entries_for_session(old.id):
-            if entry.asgw is None or entry.asgw.session_id != old.id:
-                continue
-            gone = self.table.unbind(entry, "asgw")
-            entry.state = EntryState.BUFFERING
-            self._event("buffering", session=old.id, ctid=entry.ctid, wire=gone.wire, detail="superseded")
         self._session_lost(old, "superseded")
 
     def _provider_return(self, bs: _BrokerSession) -> None:
@@ -423,22 +393,12 @@ class Broker:
             SessionState.INVITE_RECEIVED,
             SessionState.ESTABLISHED,
         ):
-            self._send_raw(
-                conn_id,
-                encode_frame(
-                    ControlMessage(Verb.ERROR, {"Reason": "unknown-dialog"}, txn=self.txns.next())
-                ),
-            )
+            self._send_control(None, Verb.ERROR, {"Reason": "unknown-dialog"}, conn_id)
             self._drop_conn(conn_id, "payload attach to unknown dialog")
             return
         agreed = bs.session.negotiated or bs.session.pending_answer
         if agreed is not None and agreed.security is Security.SECURE and not conn.secure:
-            self._send_raw(
-                conn_id,
-                encode_frame(
-                    ControlMessage(Verb.ERROR, {"Reason": "secure-required"}, txn=self.txns.next())
-                ),
-            )
+            self._send_control(None, Verb.ERROR, {"Reason": "secure-required"}, conn_id)
             self._drop_conn(conn_id, "plain payload attach to secure dialog")
             return
         if bs.conn_payload is not None and bs.conn_payload in self.conns:
@@ -447,14 +407,11 @@ class Broker:
         conn.session_id = call_id
         bs.conn_payload = conn_id
         bs.last_activity = self.now_ms
-        self._send_raw(
-            conn_id,
-            encode_frame(
-                ControlMessage(Verb.PONG, {"Call-ID": call_id}, txn=self.txns.next())
-            ),
-        )
+        self._send_control(None, Verb.PONG, {"Call-ID": call_id}, conn_id)
         for entry in self.table.entries_for_session(bs.id):
-            if entry.state is EntryState.ACTIVE and entry.buffer:
+            # Only the provider end holds parked packets; a home gateway
+            # re-attaching must not be handed its own uplink.
+            if entry.state is EntryState.ACTIVE and entry.buffer and entry.asgw.session_id == bs.id:
                 self._flush_buffer(entry, bs)
 
     def _on_commission(self, bs: _BrokerSession, msg: ControlMessage) -> None:
@@ -513,9 +470,8 @@ class Broker:
         if requester is None or requester.session.state is not SessionState.ESTABLISHED:
             bs.allocator.cancel(pending.wire)
             return
-        if self.table.by_ctid.get(pending.ctid) is not None:
-            bs.allocator.cancel(pending.wire)
-            self._send_control(requester, Verb.ERROR, {"Ctid": pending.ctid, "Reason": "duplicate"})
+        if pending.ctid in self.table.by_ctid:
+            self._end_auth(pending, "duplicate")
             return
         wire = requester.allocator.allocate()
         entry = Entry(
@@ -539,12 +495,19 @@ class Broker:
         pending = self.pending_auth.pop((bs.id, msg.ctid), None)
         if pending is None:
             return
-        bs.allocator.cancel(pending.wire)
         self._event("denied", session=bs.id, ctid=pending.ctid, detail=pending.kind)
-        if pending.kind == "commission":
-            requester = self.sessions.get(pending.requester)
-            if requester is not None:
-                self._send_control(requester, Verb.ERROR, {"Ctid": pending.ctid, "Reason": "denied"})
+        self._end_auth(pending, "denied")
+
+    def _end_auth(self, pending: _PendingAuth, reason: str) -> None:
+        """Close a pending AUTHORIZE that will not complete: the provider's
+        wire goes back if its session is alive, and a live commission
+        requester gets an ERROR with ``reason``."""
+        asgw = self.sessions.get(pending.asgw_id)
+        if asgw is not None:
+            asgw.allocator.cancel(pending.wire)
+        requester = self.sessions.get(pending.requester)
+        if pending.kind == "commission" and requester is not None:
+            self._send_control(requester, Verb.ERROR, {"Ctid": pending.ctid, "Reason": reason})
 
     def _on_decommission(self, bs: _BrokerSession, msg: ControlMessage) -> None:
         ctid = msg.ctid
@@ -573,15 +536,18 @@ class Broker:
             entry.buffer = []
             entry.buffer_bytes = 0
         for end in (entry.lgw, entry.asgw):
-            if end is None:
-                continue
-            owner = self.sessions.get(end.session_id)
-            if owner is None or owner.session.state is not SessionState.ESTABLISHED:
-                continue
-            owner.allocator.start_release(end.wire)
-            owner.releasing.setdefault(entry.ctid, []).append(end.wire)
-            self._send_control(owner, Verb.DECOMMISSIONED, {"Ctid": entry.ctid})
+            self._release(entry.ctid, end, Verb.DECOMMISSIONED)
         self._event("decommissioned", ctid=entry.ctid, detail=reason)
+
+    def _release(self, ctid: str, end: End | None, verb: Verb) -> None:
+        """Quarantine ``end``'s wire until its gateway acks ``verb``; an end
+        whose session is gone has nothing left to release."""
+        owner = self.sessions.get(end.session_id) if end is not None else None
+        if owner is None or owner.session.state is not SessionState.ESTABLISHED:
+            return
+        owner.allocator.start_release(end.wire)
+        owner.releasing.setdefault(ctid, []).append(end.wire)
+        self._send_control(owner, verb, {"Ctid": ctid})
 
     # -- payload path --------------------------------------------------------
 
@@ -621,11 +587,16 @@ class Broker:
         if dst_sess is None or dst_sess.conn_payload is None:
             self._report(conn_id, pkt, STATUS_PEER_UNAVAILABLE)
             return
+        self._relay(bs.id, pkt, dst_sess, dst)
+
+    def _relay(self, src_id: str, pkt: WirePacket, dst: _BrokerSession, end: End) -> None:
+        """Forward ``pkt`` to ``end`` over ``dst``'s payload connection under
+        a fresh broker txn, and file it until ``dst`` reports on it."""
         txn = self.txns.next()
-        self.pending_relay[(dst_sess.id, txn)] = _Relay(bs.id, pkt.txn, pkt.wire, pkt.seq)
-        out = WirePacket(txn=txn, wire=dst.wire, seq=dst.next_seq_out, payload=pkt.payload)
-        dst.next_seq_out += 1
-        self._send_raw(dst_sess.conn_payload, encode_frame(out))
+        self.pending_relay[(dst.id, txn)] = (src_id, pkt)
+        out = WirePacket(txn=txn, wire=end.wire, seq=end.next_seq_out, payload=pkt.payload)
+        end.next_seq_out += 1
+        self._send_raw(dst.conn_payload, encode_frame(out))
 
     def _buffer_packet(self, bs: _BrokerSession, entry: Entry, pkt: WirePacket) -> None:
         cfg = self.config
@@ -637,25 +608,15 @@ class Broker:
             if bs.conn_payload is not None:
                 self._report(bs.conn_payload, pkt, STATUS_PEER_UNAVAILABLE)
             return
-        entry.buffer.append(_Buffered(pkt.payload, bs.id, pkt.txn, pkt.wire, pkt.seq))
+        entry.buffer.append((bs.id, pkt))
         entry.buffer_bytes += len(pkt.payload)
 
     def _flush_buffer(self, entry: Entry, asgw: _BrokerSession) -> None:
         if asgw.conn_payload is None or entry.asgw is None:
             return
-        parked = entry.buffer
-        entry.buffer = []
-        entry.buffer_bytes = 0
-        for item in parked:
-            txn = self.txns.next()
-            self.pending_relay[(asgw.id, txn)] = _Relay(
-                item.src_session, item.src_txn, item.src_wire, item.src_seq
-            )
-            out = WirePacket(
-                txn=txn, wire=entry.asgw.wire, seq=entry.asgw.next_seq_out, payload=item.payload
-            )
-            entry.asgw.next_seq_out += 1
-            self._send_raw(asgw.conn_payload, encode_frame(out))
+        parked, entry.buffer, entry.buffer_bytes = entry.buffer, [], 0
+        for src_id, pkt in parked:
+            self._relay(src_id, pkt, asgw, entry.asgw)
         self._event("buffer_flush", session=asgw.id, ctid=entry.ctid, detail=f"count={len(parked)}")
 
     def _on_report(self, conn_id: int, conn: _Conn, rpt: DeliveryReport) -> None:
@@ -670,20 +631,25 @@ class Broker:
         if relay is not None:
             self._answer_relay(relay, rpt.status)
 
-    def _answer_relay(self, relay: _Relay, status: int) -> None:
-        src = self.sessions.get(relay.src_session)
+    def _answer_relay(self, relay: tuple[str, WirePacket], status: int) -> None:
+        src_id, pkt = relay
+        src = self.sessions.get(src_id)
         if src is not None and src.conn_payload is not None:
-            out = DeliveryReport(
-                txn=relay.src_txn, wire=relay.src_wire, seq=relay.src_seq, status=status
-            )
-            self._send_raw(src.conn_payload, encode_frame(out))
+            self._report(src.conn_payload, pkt, status)
 
     # -- teardown ------------------------------------------------------------
 
     def _session_lost(self, bs: _BrokerSession, reason: str) -> None:
-        """The one retire path for a session. A superseded session reaches
-        it with its wires already moved to the newcomer, so only the
-        pending sweeps and the connection teardown apply to it."""
+        """The one retire path for a session, whatever ended it: BYE, a lost
+        signal connection, the watchdog, a protocol error, or a newer
+        session for the same subscriber or provider ("superseded").
+
+        A home gateway's entries are removed and their providers told
+        PEER-DOWN; an access switch reaches here with its wires already
+        rebound to the newcomer, so it has none left. A provider's entries
+        are parked (BUFFERING) until a session for that provider authorizes
+        them again. Then the session's pending AUTHORIZEs end, its relays
+        are swept and its connections close."""
         if bs.id not in self.sessions:
             return
         del self.sessions[bs.id]
@@ -694,41 +660,22 @@ class Broker:
         bs.releasing.clear()
         for entry in self.table.entries_for_session(bs.id):
             side = entry.side_for(bs.id)
-            if side is None:
-                continue
             if bs.role is Role.LGW:
                 self.table.remove(entry.ctid)
                 self._event("peer_down", session=bs.id, ctid=entry.ctid, wire=side.wire)
                 self._event("released", session=bs.id, ctid=entry.ctid, wire=side.wire)
                 if entry.buffer:
                     self._event("buffer_dropped", ctid=entry.ctid, detail=f"count={len(entry.buffer)}")
-                peer = entry.asgw
-                if peer is not None:
-                    owner = self.sessions.get(peer.session_id)
-                    if owner is not None:
-                        owner.allocator.start_release(peer.wire)
-                        owner.releasing.setdefault(entry.ctid, []).append(peer.wire)
-                        self._send_control(owner, Verb.PEER_DOWN, {"Ctid": entry.ctid})
+                self._release(entry.ctid, entry.asgw, Verb.PEER_DOWN)
             else:
                 self.table.unbind(entry, "asgw")
                 entry.state = EntryState.BUFFERING
                 self._event("buffering", session=bs.id, ctid=entry.ctid, wire=side.wire, detail=reason)
                 self._event("released", session=bs.id, ctid=entry.ctid, wire=side.wire)
         for key, pending in list(self.pending_auth.items()):
-            if pending.asgw_id == bs.id:
+            if bs.id in (pending.asgw_id, pending.requester):
                 del self.pending_auth[key]
-                requester = self.sessions.get(pending.requester)
-                if pending.kind == "commission" and requester is not None:
-                    self._send_control(
-                        requester,
-                        Verb.ERROR,
-                        {"Ctid": pending.ctid, "Reason": "provider-unavailable"},
-                    )
-            elif pending.requester == bs.id:
-                del self.pending_auth[key]
-                asgw = self.sessions.get(pending.asgw_id)
-                if asgw is not None:
-                    asgw.allocator.cancel(pending.wire)
+                self._end_auth(pending, "provider-unavailable")
         self._sweep_relays(bs)
         self._close_session_conns(bs)
 
@@ -740,7 +687,7 @@ class Broker:
             if key[0] == bs.id:
                 del self.pending_relay[key]
                 self._answer_relay(relay, STATUS_PEER_UNAVAILABLE)
-            elif relay.src_session == bs.id:
+            elif relay[0] == bs.id:
                 del self.pending_relay[key]
 
     def _close_session_conns(self, bs: _BrokerSession) -> None:
@@ -768,7 +715,7 @@ class Broker:
         return None
 
     def _send_control(
-        self, bs: _BrokerSession, verb: Verb, params: dict[str, str], conn_id: int | None = None
+        self, bs: _BrokerSession | None, verb: Verb, params: dict[str, str], conn_id: int | None = None
     ) -> None:
         target = conn_id if conn_id is not None else bs.conn_signal
         if target is None:

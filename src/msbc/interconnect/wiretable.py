@@ -94,7 +94,7 @@ class Entry:
     state: EntryState = EntryState.PENDING
     lgw: End | None = None
     asgw: End | None = None
-    buffer: list = field(default_factory=list)
+    buffer: list = field(default_factory=list)  # (source session id, packet), parked in order
     buffer_bytes: int = 0
 
     def side_for(self, session_id: str) -> End | None:

@@ -2,7 +2,7 @@
 
 A dialog runs INVITE -> 200 -> ACK to establish, BYE -> 200 to tear down.
 The INVITE carries the payload-channel offer; the 200 carries the answer.
-Transitions are pure: `on_signal` maps (session, message, now) to a new
+Transitions are pure: `on_signal` maps (session, message) to a new
 session plus a list of actions for the owning transport to perform, so the
 machine can be replayed deterministically in tests.
 
@@ -70,7 +70,6 @@ class Session:
     provider: str | None = None
     state: SessionState = SessionState.IDLE
     negotiated: NegotiatedChannel | None = None
-    last_activity: float = 0.0
     remote_endpoint: str = ""
     peer_access: Access | None = None
     offered: SessionOffer | None = None
@@ -151,7 +150,7 @@ def make_invite(
     return session, msg
 
 
-def receive_invite(msg: SignalMessage, now: float, remote_endpoint: str = "") -> Session:
+def receive_invite(msg: SignalMessage, remote_endpoint: str = "") -> Session:
     """Adopt an inbound INVITE as a new InviteReceived session (answerer side)."""
     offer = msg.body
     return Session(
@@ -164,7 +163,6 @@ def receive_invite(msg: SignalMessage, now: float, remote_endpoint: str = "") ->
         peer_access=msg.access,
         offered=offer,
         invite_cseq=msg.cseq,
-        last_activity=now,
         remote_endpoint=remote_endpoint,
     )
 
@@ -221,7 +219,7 @@ def make_bye(session: Session, txn: str) -> tuple[Session, SignalMessage]:
 
 
 def on_signal(
-    session: Session, msg: SignalMessage, now: float, txn: str = "t-on-signal"
+    session: Session, msg: SignalMessage, txn: str = "t-on-signal"
 ) -> tuple[Session, list[Action]]:
     """Advance the dialog by one inbound message.
 
@@ -233,7 +231,6 @@ def on_signal(
         return _out_of_dialog(session, msg, txn)
 
     state = session.state
-    session = replace(session, last_activity=now)
 
     if msg.is_request:
         if msg.method is Method.BYE:
@@ -257,7 +254,7 @@ def on_signal(
             return session, []
         # INVITE
         if state is SessionState.IDLE:
-            adopted = receive_invite(msg, now, session.remote_endpoint)
+            adopted = receive_invite(msg, session.remote_endpoint)
             return adopted, [OfferReceived(msg.body, msg.access)]
         if state in (SessionState.INVITE_SENT, SessionState.INVITE_RECEIVED):
             return session, []  # retransmission

@@ -343,13 +343,13 @@ def test_c9_transition_table_is_total_and_closed_absorbs():
 
     for fixture, stimulus in sorted(every_pair):
         sess = session_table._fixture(fixture)
-        new, actions = on_signal(sess, session_table._stimulus(sess, stimulus), now=100.0)
+        new, actions = on_signal(sess, session_table._stimulus(sess, stimulus))
         want_state, want_actions = session_table.TABLE[(fixture, stimulus)]
         assert new.state is want_state, (fixture, stimulus)
         assert [session_table._encode(a) for a in actions] == want_actions, (fixture, stimulus)
 
     closed = session_table._fixture("closed")
     for stimulus in stimuli:
-        after, _ = on_signal(closed, session_table._stimulus(closed, stimulus), now=1.0)
+        after, _ = on_signal(closed, session_table._stimulus(closed, stimulus))
         assert after.state is SessionState.CLOSED
     _verdict("9 session_table", True, f"pairs={len(every_pair)} closed_absorbing=yes")

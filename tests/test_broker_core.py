@@ -2,6 +2,12 @@
 outbox and a hand-cranked clock. The gateway side of each exchange is
 played by the session operations tested in test_session.py."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from msbc.interconnect.broker import Broker, BrokerConfig
@@ -101,7 +107,7 @@ class Gw:
         )
         rig.feed(self.signal, invite)
         reply = rig.drain(self.signal)[0]
-        self.session, actions = on_signal(self.session, reply, rig.now, txn=rig.txns.next())
+        self.session, actions = on_signal(self.session, reply, txn=rig.txns.next())
         self.actions = actions
         self.payload = None
         if send_ack and actions and isinstance(actions[0], SendSignal):
@@ -313,6 +319,34 @@ def test_authorize_timeout():
         asgw.signal_frames()
     errors = [f for f in seen if getattr(f, "verb", None) is Verb.ERROR]
     assert any(f.params["Reason"] == "provider-timeout" for f in errors)
+
+
+@pytest.mark.parametrize(
+    "end,reason",
+    [
+        ("timeout", "provider-timeout"),
+        ("denied", "denied"),
+        ("provider-lost", "provider-unavailable"),
+        ("requester-lost", None),
+    ],
+)
+def test_every_end_of_a_pending_authorize_frees_its_wire(pair, end, reason):
+    rig, lgw, asgw = pair
+    lgw.control(Verb.COMMISSION, {"Ctid": "meter.1"})
+    assert asgw.signal_frames()[-1].verb is Verb.AUTHORIZE
+    if end == "timeout":
+        rig.now = rig.broker.pending_auth[(asgw.session.call_id, "meter.1")].deadline_ms
+        for gw in (lgw, asgw):  # both sessions outlive the AUTHORIZE
+            gw.control(Verb.PING, {})
+        rig.tick()
+    elif end == "denied":
+        asgw.control(Verb.DENIED, {"Ctid": "meter.1"})
+    else:
+        rig.broker.on_disconnect((asgw if end == "provider-lost" else lgw).signal, rig.now)
+    errors = [f.params["Reason"] for f in lgw.signal_frames() if f.verb is Verb.ERROR]
+    assert errors == ([reason] if reason else [])
+    assert not rig.broker.pending_auth
+    assert all(not bs.allocator.live for bs in rig.broker.sessions.values())
 
 
 # -- transfer ----------------------------------------------------------------
@@ -625,6 +659,22 @@ def test_traffic_sent_mid_reattach_stays_ordered(pair):
     assert [g.seq for g in got] == [1, 2, 3]
 
 
+def test_home_reattach_mid_reattach_leaves_parked_packets_for_the_provider(pair):
+    rig, lgw, asgw = pair
+    lw, _ = commission(rig, lgw, asgw, "meter.1")
+    rig.broker.on_disconnect(asgw.signal, rig.now)
+    txn = lgw.send(lw, 1, b"parked")
+    asgw2 = Gw(rig, "as-metering", Role.ASGW, "metering", attach_payload=False)
+    auth = asgw2.signal_frames()[-1]
+    asgw2.control(Verb.AUTHORIZED, {"Ctid": "meter.1", "Wire": str(auth.wire_param)})
+    # The provider has not attached yet; the home gateway attaches again.
+    assert not any(isinstance(f, WirePacket) for f in lgw.attach_payload())
+    got = [f for f in asgw2.attach_payload() if isinstance(f, WirePacket)]
+    assert [(g.wire, g.seq, g.payload) for g in got] == [(int(auth.wire_param), 1, b"parked")]
+    asgw2.report(got[0], 200)
+    assert [(r.txn, r.status) for r in lgw.payload_frames()] == [(txn, 200)]
+
+
 # -- access switch (same subscriber reconnects) ------------------------------
 
 
@@ -681,3 +731,75 @@ def test_packet_in_flight_to_superseded_provider_gets_480(pair):
     rpts = lgw.payload_frames()
     assert [(r.txn, r.wire, r.seq, r.status) for r in rpts] == [(txn, lw, 1, 480)]
     assert not rig.broker.pending_relay
+
+
+def test_superseded_provider_parks_and_releases_each_wire(pair):
+    rig, lgw, asgw = pair
+    wires = [commission(rig, lgw, asgw, ctid)[1] for ctid in ("meter.1", "meter.2")]
+    asgw2 = Gw(rig, "as-metering", Role.ASGW, "metering")
+    old = asgw.session.call_id
+    seen = [
+        (e.kind, e.ctid, e.wire, e.detail)
+        for e in rig.events.snapshot()
+        if e.session == old and e.kind in ("session_closed", "buffering", "released")
+    ]
+    assert seen == [
+        ("session_closed", "", -1, "superseded"),
+        ("buffering", "meter.1", wires[0], "superseded"),
+        ("released", "meter.1", wires[0], ""),
+        ("buffering", "meter.2", wires[1], "superseded"),
+        ("released", "meter.2", wires[1], ""),
+    ]
+    for auth in asgw2.signal_frames():
+        asgw2.control(Verb.AUTHORIZED, {"Ctid": auth.ctid, "Wire": str(auth.wire_param)})
+    for gw in (lgw, asgw2):
+        gw.session, bye = make_bye(gw.session, rig.txns.next())
+        rig.feed(gw.signal, bye)
+    rig.tick()
+    assert rig.broker.teardown_state()["clean"]
+
+
+def test_tracing_hooks_resolve_and_count_a_park_and_a_flush():
+    """benchmark/tracing.py wraps broker internals by name from outside the
+    program; a renamed hook fails here rather than in the traced benchmark."""
+    root = Path(__file__).resolve().parents[1]
+    script = textwrap.dedent(
+        """
+        from msbc.interconnect import BrokerServer, ServerConfig, parse_directory
+        from msbc.wire import Role, Verb
+        from test_broker_core import DIRECTORY, Gw, Rig, commission
+        from tracing import Tracer, install_broker, install_driver
+
+        rig = Rig()
+        server = BrokerServer(parse_directory(DIRECTORY), ServerConfig())
+        server.broker.outbox = rig.outbox  # the unstarted server has no sockets
+        server.broker.configure_endpoints("127.0.0.1:7000", "127.0.0.1:7001")
+        rig.broker, rig.events = server.broker, server.events
+        tracer = Tracer()
+        install_broker(tracer, server)
+        install_driver(tracer)
+
+        asgw = Gw(rig, "as-metering", Role.ASGW, "metering")
+        lgw = Gw(rig, "home-gw", Role.LGW)
+        lw, _ = commission(rig, lgw, asgw, "meter.1")
+        rig.broker.on_disconnect(asgw.signal, rig.now)
+        lgw.send(lw, 1, b"parked")
+        assert tracer.maxima["broker.buffered"] == 1, tracer.maxima
+        asgw2 = Gw(rig, "as-metering", Role.ASGW, "metering", attach_payload=False)
+        auth = asgw2.signal_frames()[-1]
+        asgw2.control(Verb.AUTHORIZED, {"Ctid": "meter.1", "Wire": str(auth.wire_param)})
+        asgw2.attach_payload()
+        assert rig.kinds("buffer_flush")
+        rig.broker.on_disconnect(asgw2.signal, rig.now)
+        lgw.send(lw, 2, b"parked again")
+        assert tracer.maxima["broker.buffered"] == 1, "the flush went uncounted"
+        stats = tracer.window()["stats"]
+        assert stats["broker.on_bytes"][0] and stats["server.outbox_send"][0], stats
+        """
+    )
+    path = os.pathsep.join(str(root / d) for d in ("src", "benchmark", "tests"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -86,7 +86,7 @@ def establish(server, subscriber="home-gw", access=Access.RADIO):
     sess, invite = make_invite(subscriber, Role.LGW, None, access, offer(), client.txns.next())
     client.send(invite)
     reply = client.recv_frame()
-    sess, actions = on_signal(sess, reply, 0.0, txn=client.txns.next())
+    sess, actions = on_signal(sess, reply, txn=client.txns.next())
     client.send(actions[0].msg)
     return client, sess
 

@@ -149,12 +149,12 @@ def test_negotiated_size_never_exceeds_either_side(a, b):
 def established_pair():
     """Run a full INVITE/200/ACK exchange; returns (caller, answerer) sessions."""
     caller, invite = make_invite("home-gw", Role.LGW, None, Access.RADIO, offer(), "t00000001")
-    answerer = receive_invite(invite, now=0.0)
+    answerer = receive_invite(invite)
     ans = answer_offer(invite.body, invite.access, Access.RADIO, 16384, "127.0.0.1:7002")
     answerer, ok = accept(answerer, ans, "t00000002", Access.RADIO)
-    caller, actions = on_signal(caller, ok, now=1.0, txn="t00000003")
+    caller, actions = on_signal(caller, ok, txn="t00000003")
     acks = [a.msg for a in actions if isinstance(a, SendSignal)]
-    answerer, _ = on_signal(answerer, acks[0], now=1.0)
+    answerer, _ = on_signal(answerer, acks[0])
     return caller, answerer
 
 
@@ -167,18 +167,18 @@ def test_caller_walk_reaches_established():
 
 def test_answerer_gets_negotiated_only_after_ack():
     caller, invite = make_invite("home-gw", Role.LGW, None, Access.RADIO, offer(), "t1")
-    answerer = receive_invite(invite, now=0.0)
+    answerer = receive_invite(invite)
     ans = answer_for(answerer)
     answerer, _ = accept(answerer, ans, "t2", Access.RADIO)
     assert answerer.state is SessionState.INVITE_RECEIVED and answerer.negotiated is None
-    answerer, _ = on_signal(answerer, request(answerer, Method.ACK, 1), now=2.0)
+    answerer, _ = on_signal(answerer, request(answerer, Method.ACK, 1))
     assert answerer.state is SessionState.ESTABLISHED
     assert answerer.negotiated.max_frame_size == ans.max_frame_size
 
 
 def test_ack_and_open_payload_emitted_on_2xx():
     caller, invite = make_invite("g", Role.LGW, None, Access.RADIO, offer(), "t1")
-    caller, actions = on_signal(caller, response(caller, 200, 1, body=answer_for(caller)), now=1.0)
+    caller, actions = on_signal(caller, response(caller, 200, 1, body=answer_for(caller)))
     kinds = [type(a) for a in actions]
     assert kinds == [SendSignal, OpenPayload]
     assert actions[0].msg.method is Method.ACK and actions[0].msg.cseq == 1
@@ -186,7 +186,7 @@ def test_ack_and_open_payload_emitted_on_2xx():
 
 def test_reject_closes_the_answerer():
     _, invite = make_invite("g", Role.ASGW, "metering", Access.INTERNET, offer(Role.ASGW, "metering"), "t1")
-    answerer = receive_invite(invite, now=0.0)
+    answerer = receive_invite(invite)
     answerer, msg = reject(answerer, 403, "Forbidden", "t2", Access.RADIO)
     assert answerer.state is SessionState.CLOSED
     assert msg.status == 403 and msg.cseq == 1
@@ -194,14 +194,14 @@ def test_reject_closes_the_answerer():
 
 def test_non_2xx_rejects_the_caller():
     caller, _ = make_invite("g", Role.LGW, None, Access.RADIO, offer(), "t1")
-    caller, actions = on_signal(caller, response(caller, 403, 1), now=1.0)
+    caller, actions = on_signal(caller, response(caller, 403, 1))
     assert caller.state is SessionState.CLOSED
     assert actions == [DialogRejected(403, "X")]
 
 
 def test_answer_without_body_is_unusable():
     caller, _ = make_invite("g", Role.LGW, None, Access.RADIO, offer(), "t1")
-    caller, actions = on_signal(caller, response(caller, 200, 1), now=1.0)
+    caller, actions = on_signal(caller, response(caller, 200, 1))
     assert caller.state is SessionState.CLOSED
     assert isinstance(actions[0], DialogRejected)
 
@@ -209,13 +209,13 @@ def test_answer_without_body_is_unusable():
 def test_answer_exceeding_offer_is_unusable():
     caller, _ = make_invite("g", Role.LGW, None, Access.RADIO, offer(max_frame=4096), "t1")
     bad = answer_for(caller, max_frame=8192)
-    caller, actions = on_signal(caller, response(caller, 200, 1, body=bad), now=1.0)
+    caller, actions = on_signal(caller, response(caller, 200, 1, body=bad))
     assert caller.state is SessionState.CLOSED
 
 
 def test_provisional_response_ignored():
     caller, _ = make_invite("g", Role.LGW, None, Access.RADIO, offer(), "t1")
-    caller, actions = on_signal(caller, response(caller, 100, 1), now=1.0)
+    caller, actions = on_signal(caller, response(caller, 100, 1))
     assert caller.state is SessionState.INVITE_SENT and actions == []
 
 
@@ -226,25 +226,25 @@ def test_bye_walk_both_sides():
     caller, answerer = established_pair()
     caller, bye = make_bye(caller, "t00000010")
     assert caller.state is SessionState.CLOSING and caller.negotiated is None
-    answerer, actions = on_signal(answerer, bye, now=5.0)
+    answerer, actions = on_signal(answerer, bye)
     assert answerer.state is SessionState.CLOSED and answerer.negotiated is None
     reply = actions[0].msg
     assert reply.status == 200 and reply.cseq == bye.cseq
-    caller, actions = on_signal(caller, reply, now=5.0)
+    caller, actions = on_signal(caller, reply)
     assert caller.state is SessionState.CLOSED and actions == []
 
 
 def test_error_response_to_bye_still_closes():
     caller, _ = established_pair()
     caller, bye = make_bye(caller, "t1")
-    caller, _ = on_signal(caller, response(caller, 481, bye.cseq), now=5.0)
+    caller, _ = on_signal(caller, response(caller, 481, bye.cseq))
     assert caller.state is SessionState.CLOSED
 
 
 def test_closed_still_answers_bye():
     caller, answerer = established_pair()
-    answerer, _ = on_signal(answerer, request(answerer, Method.BYE, 2), now=5.0)
-    answerer, actions = on_signal(answerer, request(answerer, Method.BYE, 2), now=6.0)
+    answerer, _ = on_signal(answerer, request(answerer, Method.BYE, 2))
+    answerer, actions = on_signal(answerer, request(answerer, Method.BYE, 2))
     assert answerer.state is SessionState.CLOSED
     assert actions[0].msg.status == 200
 
@@ -254,14 +254,14 @@ def test_closed_still_answers_bye():
 
 def test_unknown_call_id_request_draws_481():
     caller, _ = established_pair()
-    caller2, actions = on_signal(caller, request(caller, Method.BYE, 9, call_id="c-other"), now=5.0)
+    caller2, actions = on_signal(caller, request(caller, Method.BYE, 9, call_id="c-other"))
     assert caller2.state is caller.state and caller2.negotiated == caller.negotiated
     assert actions[0].msg.status == 481 and actions[0].msg.call_id == "c-other"
 
 
 def test_unknown_call_id_response_dropped():
     caller, _ = established_pair()
-    caller2, actions = on_signal(caller, response(caller, 200, 1, call_id="c-other"), now=5.0)
+    caller2, actions = on_signal(caller, response(caller, 200, 1, call_id="c-other"))
     assert caller2 == caller and actions == []
 
 
@@ -283,12 +283,6 @@ def test_liveness_boundaries(gap, expected):
     assert liveness(1000.0, 1000.0 + gap, 200, 3) is expected
 
 
-def test_processed_message_refreshes_activity():
-    caller, answerer = established_pair()
-    answerer, _ = on_signal(answerer, request(answerer, Method.ACK, 1), now=77.0)
-    assert answerer.last_activity == 77.0
-
-
 # -- exhaustive transition table --------------------------------------------
 #
 # Every (state, stimulus) pair, checked against a table written out by hand.
@@ -305,18 +299,18 @@ def _fixture(name):
     sent, invite = make_invite("gw", Role.LGW, None, Access.RADIO, offer(), "t1", call_id=CALL)
     if name == "invite_sent":
         return sent
-    rcvd = receive_invite(invite, now=0.0)
+    rcvd = receive_invite(invite)
     if name == "invite_received":
         return rcvd
     answered, _ = accept(rcvd, answer_for(rcvd), "t2", Access.RADIO)
     if name == "invite_received_answered":
         return answered
-    est, _ = on_signal(sent, response(sent, 200, 1, body=answer_for(sent)), now=1.0)
+    est, _ = on_signal(sent, response(sent, 200, 1, body=answer_for(sent)))
     if name == "established":
         return est
     if name == "closing":
         return make_bye(est, "t3")[0]
-    closed, _ = on_signal(est, request(est, Method.BYE, 2), now=2.0)
+    closed, _ = on_signal(est, request(est, Method.BYE, 2))
     assert name == "closed"
     return closed
 
@@ -452,7 +446,7 @@ def test_table_is_total():
 def test_transition_matches_table(fixture, stimulus):
     sess = _fixture(fixture)
     msg = _stimulus(sess, stimulus)
-    new, actions = on_signal(sess, msg, now=100.0)
+    new, actions = on_signal(sess, msg)
     want_state, want_actions = TABLE[(fixture, stimulus)]
     assert new.state is want_state
     assert [_encode(a) for a in actions] == want_actions
@@ -466,13 +460,13 @@ def test_transition_matches_table(fixture, stimulus):
 )
 def test_random_walks_never_crash(start, steps):
     sess = _fixture(start)
-    for i, name in enumerate(steps):
-        sess, _ = on_signal(sess, _stimulus(sess, name), now=float(i))
+    for name in steps:
+        sess, _ = on_signal(sess, _stimulus(sess, name))
         assert (sess.negotiated is not None) == (sess.state is S.ESTABLISHED)
 
 
 def test_closed_is_absorbing():
     sess = _fixture("closed")
     for name in STIMULI:
-        sess, _ = on_signal(sess, _stimulus(sess, name), now=1.0)
+        sess, _ = on_signal(sess, _stimulus(sess, name))
         assert sess.state is S.CLOSED

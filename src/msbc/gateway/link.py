@@ -10,14 +10,14 @@ held, so a TLS socket is never used by two threads at once, and a write
 from a caller's thread never interleaves with queued bytes. The
 ``blackhole`` flag simulates a dead radio path: writes are swallowed,
 reads are discarded, and a link closed while dark stays open, so the far
-end sees silence, not a FIN.
+end sees silence, not a FIN. A link picks its read and would-block errors
+when it is dialled; only a secure one loads ``msbc.tls`` and ``ssl``.
 """
 
 from __future__ import annotations
 
 import selectors
 import socket
-import ssl
 import threading
 from typing import Callable
 
@@ -28,6 +28,8 @@ from msbc.wire.types import parse_endpoint
 
 def client_tls_context() -> ssl.SSLContext:
     """Client side of the operator-domain TLS policy: encrypt, don't verify."""
+    import ssl
+
     context = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
     context.check_hostname = False
     context.verify_mode = ssl.CERT_NONE
@@ -66,7 +68,12 @@ class Link:
         source = (local_address, 0) if local_address else None
         sock = socket.create_connection((host, port), timeout=connect_timeout, source_address=source)
         if secure:
+            from msbc import tls
+
             sock = client_tls_context().wrap_socket(sock, server_hostname=host)
+            self._tls, self._receive, self._would_block = tls, tls.receive, tls.WOULD_BLOCK
+        else:
+            self._tls, self._receive, self._would_block = None, receive, WOULD_BLOCK
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
@@ -98,9 +105,9 @@ class Link:
             while data:
                 try:
                     data = data[self._sock.send(data):]
-                except WOULD_BLOCK as exc:
+                except self._would_block as exc:
                     # TLS retries the same bytes once the socket is ready
-                    _wait(self._sock, READ if isinstance(exc, ssl.SSLWantReadError) else WRITE)
+                    _wait(self._sock, self._tls.waits_for(exc) if self._tls else WRITE)
         except OSError:
             pass
 
@@ -108,7 +115,7 @@ class Link:
         """One received chunk: None if there is nothing to hand up, b"" once
         a live link is lost. Bytes that reach a blackholed or closed link
         fall off."""
-        data = receive(self._sock)
+        data = self._receive(self._sock)
         if data is None:
             return None
         if not data:

@@ -676,18 +676,19 @@ class Broker:
             if bs.id in (pending.asgw_id, pending.requester):
                 del self.pending_auth[key]
                 self._end_auth(pending, "provider-unavailable")
-        self._sweep_relays(bs)
+        self._sweep_relays(bs, session_gone=True)
         self._close_session_conns(bs)
 
-    def _sweep_relays(self, bs: _BrokerSession) -> None:
-        """Free every relay through ``bs``'s payload connection, which is
-        gone: packets in flight to it are answered 480 to their source, and
-        reports for its own packets have nowhere to go."""
+    def _sweep_relays(self, bs: _BrokerSession, session_gone: bool) -> None:
+        """Answer 480 to their source for the packets in flight to ``bs``,
+        whose payload connection is gone. The relays of its own packets go
+        only with the session: while it lives, their reports reach it on
+        its next payload connection."""
         for key, relay in list(self.pending_relay.items()):
             if key[0] == bs.id:
                 del self.pending_relay[key]
                 self._answer_relay(relay, STATUS_PEER_UNAVAILABLE)
-            elif relay[0] == bs.id:
+            elif session_gone and relay[0] == bs.id:
                 del self.pending_relay[key]
 
     def _close_session_conns(self, bs: _BrokerSession) -> None:
@@ -739,7 +740,7 @@ class Broker:
     def _conn_gone(self, conn_id: int, conn: _Conn | None, reason: str) -> None:
         """A closed connection's session loses it: the signal connection
         ends the session; after a payload connection the session survives
-        and only the relays through it are swept."""
+        and only the relays to it are answered."""
         bs = self.sessions.get(conn.session_id) if conn is not None and conn.session_id else None
         if bs is None:
             return
@@ -748,7 +749,7 @@ class Broker:
             self._session_lost(bs, reason)
         elif conn_id == bs.conn_payload:
             bs.conn_payload = None
-            self._sweep_relays(bs)
+            self._sweep_relays(bs, session_gone=False)
 
     def _event(
         self, kind: str, session: str = "", ctid: str = "", wire: int = -1, detail: str = ""

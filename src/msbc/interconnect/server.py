@@ -13,18 +13,19 @@ sent in full. The core thus runs single-threaded, with no queue and no lock.
 Three listeners: signaling, plain payload, and TLS payload. The TLS
 listener uses a fresh self-signed certificate, which is all a closed
 operator domain needs -- gateways connect without verification and rely on
-the channel for confidentiality only. The certificate is made when the
-first TLS peer connects, so a broker that serves only plain peers never
-loads the TLS toolkit; that first connection pays a one-time cost (tens of
-ms, on the loop thread). The loop drives each TLS handshake; the broker
-sees the connection once it is done.
+the channel for confidentiality only. ``ssl`` (with ``msbc.tls``) and the
+certificate are loaded when the first TLS peer connects, so a broker that
+serves only plain peers never loads either; that first connection pays a
+one-time cost (tens of ms, on the loop thread). Each connection picks its
+read and its would-block errors when it is accepted, so a plain read makes
+no TLS check. The loop drives each TLS handshake; the broker sees the
+connection once it is done.
 """
 
 from __future__ import annotations
 
 import logging
 import socket
-import ssl
 from dataclasses import dataclass
 
 from msbc.interconnect.broker import Broker, BrokerConfig
@@ -46,13 +47,17 @@ class ServerConfig(BrokerConfig):
 
 
 class _Conn:
-    """One accepted socket and the bytes the broker has queued for it."""
+    """One accepted socket, how to read it, and the bytes the broker has
+    queued for it. ``tls`` is the ``msbc.tls`` module for a TLS peer."""
 
-    def __init__(self, conn_id: int, sock: socket.socket, secure: bool, peer: str):
+    def __init__(self, conn_id: int, sock: socket.socket, peer: str, tls=None):
         self.id = conn_id
         self.sock = sock
         self.peer = peer
-        self.handshaking = secure
+        self.tls = tls
+        self.receive = tls.receive if tls else receive
+        self.would_block = tls.WOULD_BLOCK if tls else WOULD_BLOCK
+        self.handshaking = tls is not None
         self.out = bytearray()
         self.retry_at: float | None = None  # while bytes wait: last progress + keepalive interval
         self.events = READ
@@ -92,7 +97,7 @@ class BrokerServer:
         self._dirty: dict[int, _Conn] = {}
         self._stalled: dict[int, _Conn] = {}  # over buffer_max_bytes unsent
         self._next_conn = 0
-        self._tls: ssl.SSLContext | None = None  # made at the first TLS accept
+        self._tls_context = None  # made at the first TLS accept
         self.signal_endpoint = ""
         self.payload_endpoint = ""
         self.payload_tls_endpoint = ""
@@ -166,16 +171,19 @@ class BrokerServer:
                 return
             sock.setblocking(False)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            tls = None
             if secure:
                 try:
-                    if self._tls is None:
-                        self._tls = _self_signed_context()
+                    from msbc import tls
+
+                    if self._tls_context is None:
+                        self._tls_context = _self_signed_context()
                 except Exception:  # the next TLS peer tries again
                     log.exception("no TLS context for %s:%s", *addr[:2])
                     close_quietly(sock)
                     continue
-                sock = self._tls.wrap_socket(sock, server_side=True, do_handshake_on_connect=False)
-            conn = _Conn(self._next_conn, sock, secure, f"{addr[0]}:{addr[1]}")
+                sock = self._tls_context.wrap_socket(sock, server_side=True, do_handshake_on_connect=False)
+            conn = _Conn(self._next_conn, sock, f"{addr[0]}:{addr[1]}", tls)
             self._next_conn += 1
             self._conns[conn.id] = conn
             self._loop.selector.register(sock, READ, lambda mask, c=conn: self._ready(c, mask))
@@ -198,8 +206,8 @@ class BrokerServer:
     def _handshake(self, conn: _Conn) -> None:
         try:
             conn.sock.do_handshake()
-        except WOULD_BLOCK as exc:
-            self._watch(conn, WRITE if isinstance(exc, ssl.SSLWantWriteError) else READ)
+        except conn.would_block as exc:
+            self._watch(conn, conn.tls.waits_for(exc))
             return
         except OSError:
             self._lost(conn)
@@ -212,7 +220,7 @@ class BrokerServer:
     def _read(self, conn: _Conn) -> None:
         # One chunk per pass, so a peer that never stops sending cannot
         # starve the others or outrun the unsent-byte check.
-        data = receive(conn.sock)
+        data = conn.receive(conn.sock)
         if data == b"":
             self._lost(conn)
         elif data is not None:
@@ -221,7 +229,7 @@ class BrokerServer:
     def _flush(self, conn: _Conn) -> None:
         try:
             sent = conn.sock.send(conn.out) if conn.out else 0
-        except WOULD_BLOCK:
+        except conn.would_block:
             sent = 0
         except OSError:
             self._lost(conn)
@@ -277,6 +285,7 @@ def _endpoint_of(listener: socket.socket) -> str:
 def _self_signed_context() -> ssl.SSLContext:
     """Ephemeral server certificate; peers connect without verification."""
     import ipaddress
+    import ssl
     import tempfile
     from datetime import datetime, timedelta, timezone
     from pathlib import Path

@@ -8,7 +8,8 @@ deadline. A deadline may come early, never late, and ``on_tick(now)``
 leaves the next one later than ``now``, so the loop cannot spin. A
 socketpair wakes the loop from other threads, as when one moves the
 deadline earlier. The loop closes every socket still registered with it
-when it ends, or when it is stopped without having started.
+when it ends, or when it is stopped without having started. Its socket
+helpers are for plain sockets; ``msbc.tls`` has the TLS ones.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import logging
 import selectors
 import socket
-import ssl
 import threading
 import time
 from typing import Callable
@@ -25,9 +25,9 @@ log = logging.getLogger("msbc.loop")
 
 READ = selectors.EVENT_READ
 WRITE = selectors.EVENT_WRITE
-# A non-blocking call that has to wait for the socket; OSError otherwise.
-WOULD_BLOCK = (BlockingIOError, ssl.SSLWantReadError, ssl.SSLWantWriteError)
-_RECV_SIZE = 65536
+# A non-blocking call on a plain socket that has to wait; OSError otherwise.
+WOULD_BLOCK = BlockingIOError
+RECV_SIZE = 65536
 
 
 def now_ms() -> float:
@@ -35,18 +35,14 @@ def now_ms() -> float:
 
 
 def receive(sock: socket.socket) -> bytes | None:
-    """One chunk from a readable socket, plus what TLS has already decrypted
-    (the selector cannot see it). None if nothing is ready yet; b"" at EOF
-    or on a failed socket."""
+    """One chunk from a readable plain socket. None if nothing is ready yet;
+    b"" at EOF or on a failed socket."""
     try:
-        data = sock.recv(_RECV_SIZE)
-        while data and isinstance(sock, ssl.SSLSocket) and sock.pending():
-            data += sock.recv(sock.pending())
+        return sock.recv(RECV_SIZE)
     except WOULD_BLOCK:
         return None
     except OSError:
         return b""
-    return data
 
 
 def close_quietly(sock: socket.socket) -> None:

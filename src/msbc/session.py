@@ -13,7 +13,7 @@ ride the carrier's own encryption and stay plain.
 
 from __future__ import annotations
 
-import uuid
+import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -108,7 +108,7 @@ Action = SendSignal | OpenPayload | OfferReceived | DialogRejected
 
 
 def fresh_call_id() -> str:
-    return "c-" + uuid.uuid4().hex[:20]
+    return "c-" + os.urandom(10).hex()
 
 
 def make_invite(

@@ -558,6 +558,31 @@ def test_payload_conn_loss_answers_relays_in_flight(pair, drop):
     assert not rig.broker.pending_relay
 
 
+@pytest.mark.parametrize("drop", ["disconnect", "replaced"])
+def test_a_report_reaches_a_sender_that_attached_its_payload_again(pair, drop):
+    rig, lgw, asgw = pair
+    lw, _ = commission(rig, lgw, asgw, "meter.1")
+    txn = lgw.send(lw, 1, b"in flight")
+    if drop == "disconnect":
+        rig.broker.on_disconnect(lgw.payload, rig.now)
+    lgw.attach_payload()
+    assert len(rig.broker.pending_relay) == 1
+    asgw.report(asgw.payload_frames()[0], 200)
+    rpts = lgw.payload_frames()
+    assert [(r.txn, r.wire, r.seq, r.status) for r in rpts] == [(txn, lw, 1, 200)]
+    assert not rig.broker.pending_relay
+
+
+def test_a_lost_session_takes_the_relays_of_its_own_packets_with_it(pair):
+    rig, lgw, asgw = pair
+    lw, _ = commission(rig, lgw, asgw, "meter.1")
+    lgw.send(lw, 1, b"in flight")
+    rig.broker.on_disconnect(lgw.signal, rig.now)
+    assert lgw.session.call_id not in rig.broker.sessions
+    assert not rig.broker.pending_relay
+    asgw.report(asgw.payload_frames()[0], 200)  # answered to nobody
+
+
 def test_watchdog_expires_silent_session():
     fast = Rig(keepalive_interval_ms=100, keepalive_misses=3)
     lgw = Gw(fast, "home-gw", Role.LGW)

@@ -4,6 +4,7 @@ import logging
 import os
 import signal
 import socket
+import ssl
 import subprocess
 import sys
 import textwrap
@@ -14,9 +15,11 @@ from pathlib import Path
 import pytest
 
 import msbc
+from msbc import tls
 from msbc.interconnect import BrokerServer, ServerConfig, parse_directory
 from msbc.interconnect import server as server_module
-from msbc.gateway.link import client_tls_context
+from msbc.gateway.link import Link, LinkControl, client_tls_context
+from msbc.loop import READ, WRITE, EventLoop
 from msbc.session import SendSignal, make_invite, on_signal
 from msbc.wire import (
     Access,
@@ -244,6 +247,97 @@ def test_stalled_tls_handshake_blocks_no_other_attach(server):
         sock.close()
 
 
+def bio_handshake(raw, tls_obj, incoming, outgoing):
+    """Drive a memory-BIO TLS handshake over the plain socket ``raw``."""
+    while True:
+        try:
+            tls_obj.do_handshake()
+            break
+        except ssl.SSLWantReadError:
+            raw.sendall(outgoing.read())
+            incoming.write(raw.recv(65536))
+    raw.sendall(outgoing.read())
+
+
+def send_split(raw, tls_obj, outgoing, data):
+    """Send ``data`` as one TLS record in two TCP segments, so the reader
+    wakes on half a record."""
+    tls_obj.write(data)
+    record = outgoing.read()
+    raw.sendall(record[:8])
+    time.sleep(0.05)
+    raw.sendall(record[8:])
+
+
+def test_the_broker_reads_a_tls_record_that_arrives_in_two_segments(server):
+    host, port = server.payload_tls_endpoint.rsplit(":", 1)
+    incoming, outgoing = ssl.MemoryBIO(), ssl.MemoryBIO()
+    tls_obj = client_tls_context().wrap_bio(incoming, outgoing, server_hostname=host)
+    with socket.create_connection((host, int(port)), timeout=5) as raw:
+        bio_handshake(raw, tls_obj, incoming, outgoing)
+        time.sleep(0.05)  # the broker ends its handshake before the record starts
+        ping = ControlMessage(Verb.PING, {"Call-ID": "c-nope"}, txn=TxnGenerator().next())
+        send_split(raw, tls_obj, outgoing, encode_frame(ping))
+        parser, frames = StreamParser(max_payload=MAX_FRAME_SIZE), []
+        while not frames:
+            data = raw.recv(65536)
+            assert data, "the broker dropped the connection on half a TLS record"
+            incoming.write(data)
+            try:
+                frames = parser.feed(tls_obj.read(65536))
+            except ssl.SSLWantReadError:
+                pass
+    assert frames[0].verb is Verb.ERROR and frames[0].params["Reason"] == "unknown-dialog"
+
+
+def test_a_secure_link_reads_a_tls_record_that_arrives_in_two_segments():
+    context = server_module._self_signed_context()
+    payload = b"one record, two segments"
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def serve():
+            raw, _ = listener.accept()
+            with raw:
+                incoming, outgoing = ssl.MemoryBIO(), ssl.MemoryBIO()
+                tls_obj = context.wrap_bio(incoming, outgoing, server_side=True)
+                bio_handshake(raw, tls_obj, incoming, outgoing)
+                time.sleep(0.1)  # the loop is waiting when the record starts
+                send_split(raw, tls_obj, outgoing, payload)
+                raw.recv(1)  # until the link closes
+
+        server_thread = threading.Thread(target=serve)
+        server_thread.start()
+        got = []
+        loop = EventLoop("t", lambda: None, lambda now: None, lambda: None)
+        endpoint = f"127.0.0.1:{listener.getsockname()[1]}"
+        Link(endpoint, LinkControl(), loop, lambda link: got.append(link.read()), secure=True)
+        loop.start()
+        deadline = time.monotonic() + 5
+        while b"".join(g for g in got if g) != payload and b"" not in got and time.monotonic() < deadline:
+            time.sleep(0.01)
+        loop.stop()  # closes the link
+        server_thread.join(timeout=5)
+    assert not server_thread.is_alive()
+    assert b"" not in got, "the link was lost on half a TLS record"
+    assert b"".join(g for g in got if g) == payload
+
+
+def test_tls_receive_drains_what_tls_has_already_decrypted():
+    class Decrypted:  # an SSLSocket holding a second record past the first read
+        def __init__(self):
+            self.chunks = [b"ab", b"cde"]
+
+        def recv(self, size):
+            return self.chunks.pop(0)
+
+        def pending(self):
+            return len(self.chunks[0]) if self.chunks else 0
+
+    assert tls.receive(Decrypted()) == b"abcde"
+    assert tls.waits_for(ssl.SSLWantReadError()) == READ
+    assert tls.waits_for(ssl.SSLWantWriteError()) == WRITE
+
+
 def free_port():
     with socket.create_server(("127.0.0.1", 0)) as sock:
         return sock.getsockname()[1]
@@ -310,9 +404,11 @@ FOOTPRINT = textwrap.dedent(
         assert home.transmit("meter.a", b"reading").wait(5) is DeliveryStatus.DELIVERED
         home.close()
         assert "cryptography" not in sys.modules, "a plain-only broker loaded the TLS toolkit"
+        assert "ssl" not in sys.modules, "a plain-only broker or gateway loaded ssl"
         wifi = open_gateway(GatewayConfig("wifi-gw", Role.LGW, srv.signal_endpoint, access=Access.INTERNET))
         assert wifi.negotiated.security is Security.SECURE
         assert "cryptography" in sys.modules
+        assert "ssl" in sys.modules
         wifi.close()
         asgw.close()
     """
@@ -323,6 +419,15 @@ def test_a_broker_serving_only_plain_peers_never_loads_the_tls_toolkit():
     # A fresh process: this one may already hold the toolkit.
     result = run_python(FOOTPRINT, DIRECTORY)
     assert result.returncode == 0, result.stderr
+
+
+def test_importing_the_broker_the_gateway_and_the_cli_loads_no_tls_or_uuid_module():
+    result = run_python(
+        "import sys; import msbc.interconnect, msbc.gateway, msbc.cli; "
+        "print(sorted(m for m in ('ssl', 'cryptography', 'uuid') if m in sys.modules))"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 BROKER_MAIN = "import sys; from msbc.cli import broker_main; sys.exit(broker_main(sys.argv[1:]))"

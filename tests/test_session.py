@@ -1,6 +1,8 @@
 """Dialog state machine: offer/answer walks, teardown, and an exhaustive
 hand-checked transition table covering every (state, stimulus) pair."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,7 @@ from msbc.session import (
     Unacceptable,
     accept,
     answer_offer,
+    fresh_call_id,
     liveness,
     make_bye,
     make_invite,
@@ -97,6 +100,12 @@ def test_make_invite_shape():
 def test_make_invite_fresh_call_ids():
     ids = {make_invite("g", Role.LGW, None, Access.RADIO, offer(), "t00000001")[1].call_id for _ in range(50)}
     assert len(ids) == 50
+
+
+def test_fresh_call_id_is_c_dash_and_20_lowercase_hex_digits():
+    first, second = fresh_call_id(), fresh_call_id()
+    assert re.fullmatch(r"c-[0-9a-f]{20}", first) and re.fullmatch(r"c-[0-9a-f]{20}", second)
+    assert first != second
 
 
 def test_asgw_requires_provider():

@@ -10,7 +10,6 @@ import threading
 import time
 from pathlib import Path
 
-from msbc.harness import run_scenario_file, simulate_smart_home
 from msbc.interconnect import (
     BrokerServer,
     EventLog,
@@ -22,21 +21,13 @@ from msbc.interconnect import (
     save_directory,
 )
 
-_CONFIG_FIELDS = {
-    "host": str,
-    "signal_port": int,
-    "payload_port": int,
-    "payload_tls_port": int,
-    "keepalive_interval_ms": float,
-    "keepalive_misses": int,
-    "buffer_max_packets": int,
-    "buffer_max_bytes": int,
-    "max_frame_size": int,
-}
-
 
 def _load_server_config(path: str) -> ServerConfig:
-    """Key=value lines, '#' comments; keys mirror the broker settings."""
+    """Key=value lines, '#' comments; keys are ServerConfig's fields, each
+    converted to the type of its default."""
+    defaults = ServerConfig()
+    fields = [name for cls in ServerConfig.__mro__ for name in getattr(cls, "__slots__", ())]
+    converters = {name: type(getattr(defaults, name)) for name in fields}
     values = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -44,7 +35,7 @@ def _load_server_config(path: str) -> ServerConfig:
             continue
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        conv = _CONFIG_FIELDS.get(key)
+        conv = converters.get(key)
         if not sep or conv is None:
             raise SystemExit(f"{path}:{line_no}: unknown config line {line!r}")
         try:
@@ -163,6 +154,8 @@ def harness_main(argv: list[str] | None = None) -> int:
     p_home = sub.add_parser("smart-home", help="run the smart-home topology")
     p_home.add_argument("--duration", type=float, default=10.0, help="traffic time in seconds")
     args = parser.parse_args(argv)
+    # Loaded here, not at the top: the broker and admin commands never need it.
+    from msbc.harness import run_scenario_file, simulate_smart_home
 
     if args.command == "run":
         report = run_scenario_file(args.scenario, seed=args.seed)

@@ -29,7 +29,6 @@ import bisect
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 
 from msbc.session import (
@@ -199,28 +198,42 @@ class Receiver:
         return True
 
 
-@dataclass
 class GatewayConfig:
-    subscriber: str
-    role: Role
-    broker_endpoint: str
-    access: Access = Access.RADIO
-    provider: str | None = None
-    max_frame_size: int = DEFAULT_FRAME_SIZE
-    keepalive_interval_ms: float = 5000.0
-    keepalive_misses: int = 3
-    report_timeout_ms: float = 2000.0
-    auto_reconnect: bool = True
-    reconnect_initial_ms: float = 100.0
-    reconnect_max_ms: float = 5000.0
-    local_address: str | None = None
+    __slots__ = (
+        "subscriber", "role", "broker_endpoint", "access", "provider", "max_frame_size",
+        "keepalive_interval_ms", "keepalive_misses", "report_timeout_ms", "auto_reconnect",
+        "reconnect_initial_ms", "reconnect_max_ms", "local_address",
+    )
+
+    def __init__(
+        self, subscriber: str, role: Role, broker_endpoint: str, access: Access = Access.RADIO,
+        provider: str | None = None, max_frame_size: int = DEFAULT_FRAME_SIZE,
+        keepalive_interval_ms: float = 5000.0, keepalive_misses: int = 3, report_timeout_ms: float = 2000.0,
+        auto_reconnect: bool = True, reconnect_initial_ms: float = 100.0, reconnect_max_ms: float = 5000.0,
+        local_address: str | None = None,
+    ):
+        self.subscriber = subscriber
+        self.role = role
+        self.broker_endpoint = broker_endpoint
+        self.access = access
+        self.provider = provider
+        self.max_frame_size = max_frame_size
+        self.keepalive_interval_ms = keepalive_interval_ms
+        self.keepalive_misses = keepalive_misses
+        self.report_timeout_ms = report_timeout_ms
+        self.auto_reconnect = auto_reconnect
+        self.reconnect_initial_ms = reconnect_initial_ms
+        self.reconnect_max_ms = reconnect_max_ms
+        self.local_address = local_address
 
 
-@dataclass
 class _Wire:
-    ctid: str
-    wire: int
-    seq_out: int = 0
+    __slots__ = ("ctid", "wire", "seq_out")
+
+    def __init__(self, ctid: str, wire: int):
+        self.ctid = ctid
+        self.wire = wire
+        self.seq_out = 0
 
 
 def _safe(fn, *args) -> None:

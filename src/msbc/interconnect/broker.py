@@ -26,7 +26,6 @@ protocol_error, denied.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Protocol
 
 from msbc.session import (
@@ -72,52 +71,72 @@ class Outbox(Protocol):
     def close(self, conn_id: int) -> None: ...
 
 
-@dataclass
 class BrokerConfig:
-    keepalive_interval_ms: float = 5000.0
-    keepalive_misses: int = 3
-    buffer_max_packets: int = 1024
-    buffer_max_bytes: int = 4 * 1024 * 1024
-    max_frame_size: int = 16384
+    __slots__ = (
+        "keepalive_interval_ms", "keepalive_misses", "buffer_max_packets", "buffer_max_bytes",
+        "max_frame_size",
+    )
+
+    def __init__(
+        self, keepalive_interval_ms: float = 5000.0, keepalive_misses: int = 3,
+        buffer_max_packets: int = 1024, buffer_max_bytes: int = 4 * 1024 * 1024, max_frame_size: int = 16384,
+    ):
+        self.keepalive_interval_ms = keepalive_interval_ms
+        self.keepalive_misses = keepalive_misses
+        self.buffer_max_packets = buffer_max_packets
+        self.buffer_max_bytes = buffer_max_bytes
+        self.max_frame_size = max_frame_size
 
     @property
     def silence_budget_ms(self) -> float:
         return self.keepalive_interval_ms * self.keepalive_misses
 
 
-@dataclass
 class _Conn:
-    parser: StreamParser
-    secure: bool = False
-    peer: str = ""
-    kind: str = "new"  # new | signal | payload
-    session_id: str = ""
+    __slots__ = ("parser", "secure", "peer", "kind", "session_id")
+
+    def __init__(self, parser: StreamParser, secure: bool, peer: str):
+        self.parser = parser
+        self.secure = secure
+        self.peer = peer
+        self.kind = "new"  # new | signal | payload
+        self.session_id = ""
 
 
-@dataclass
 class _BrokerSession:
-    id: str
-    session: Session
-    role: Role
-    subscriber: str
-    provider: str | None
-    conn_signal: int | None = None
-    conn_payload: int | None = None
-    allocator: WireAllocator = field(default_factory=WireAllocator)
-    releasing: dict[str, list[int]] = field(default_factory=dict)  # ctid -> wires, oldest first
-    last_ping_ms: float = -1e18
-    last_activity: float = 0.0  # now_ms of its last frame; the watchdog reads it
-    due_ms: float = 0.0  # its live entry in Broker._timers; others there are stale
+    __slots__ = (
+        "id", "session", "role", "subscriber", "provider", "conn_signal", "conn_payload",
+        "allocator", "releasing", "last_ping_ms", "last_activity", "due_ms",
+    )
+
+    def __init__(
+        self, id: str, session: Session, role: Role, subscriber: str, provider: str | None,
+        conn_signal: int, last_activity: float,
+    ):
+        self.id = id
+        self.session = session
+        self.role = role
+        self.subscriber = subscriber
+        self.provider = provider
+        self.conn_signal: int | None = conn_signal
+        self.conn_payload: int | None = None
+        self.allocator = WireAllocator()
+        self.releasing: dict[str, list[int]] = {}  # ctid -> wires, oldest first
+        self.last_ping_ms = -1e18
+        self.last_activity = last_activity  # now_ms of its last frame; the watchdog reads it
+        self.due_ms = 0.0  # its live entry in Broker._timers; others there are stale
 
 
-@dataclass
 class _PendingAuth:
-    kind: str  # commission | reattach
-    asgw_id: str
-    ctid: str
-    wire: int
-    deadline_ms: float
-    requester: str = ""  # lgw session id for commissions
+    __slots__ = ("kind", "asgw_id", "ctid", "wire", "deadline_ms", "requester")
+
+    def __init__(self, kind: str, asgw_id: str, ctid: str, wire: int, deadline_ms: float, requester: str = ""):
+        self.kind = kind  # commission | reattach
+        self.asgw_id = asgw_id
+        self.ctid = ctid
+        self.wire = wire
+        self.deadline_ms = deadline_ms
+        self.requester = requester  # lgw session id for commissions
 
 
 class Broker:

@@ -19,9 +19,9 @@ longest first; it does not depend on the number of rules.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from msbc.record import Record
 from msbc.wire.types import is_token, validate_ctid
 
 _PROVIDER_RE = re.compile(r"^provider\s+(\S+)\s+subscriber=(\S+)$")
@@ -35,16 +35,20 @@ class ParseError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class ProviderRecord:
-    provider_id: str
-    subscriber: str
+class ProviderRecord(Record):
+    __slots__ = ("provider_id", "subscriber")
+
+    def __init__(self, provider_id: str, subscriber: str):
+        self.provider_id = provider_id
+        self.subscriber = subscriber
 
 
-@dataclass(frozen=True)
-class RoutingRule:
-    pattern: str
-    provider_id: str
+class RoutingRule(Record):
+    __slots__ = ("pattern", "provider_id")
+
+    def __init__(self, pattern: str, provider_id: str):
+        self.pattern = pattern
+        self.provider_id = provider_id
 
     @property
     def is_wildcard(self) -> bool:
@@ -55,16 +59,18 @@ class RoutingRule:
         return self.pattern[:-1] if self.is_wildcard else self.pattern
 
 
-@dataclass
 class SubscriptionDirectory:
-    providers: dict[str, ProviderRecord] = field(default_factory=dict)
-    rules: list[RoutingRule] = field(default_factory=list, init=False)
-    # Indexes over ``rules``, kept by add_rule: the provider of the first
-    # exact rule per device id, of the first wildcard rule per prefix, and
-    # the distinct wildcard prefix lengths, longest first.
-    _exact: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _wildcard: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _prefix_lengths: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    __slots__ = ("providers", "rules", "_exact", "_wildcard", "_prefix_lengths")
+
+    def __init__(self):
+        self.providers: dict[str, ProviderRecord] = {}
+        self.rules: list[RoutingRule] = []
+        # Indexes over ``rules``, kept by add_rule: the provider of the first
+        # exact rule per device id, of the first wildcard rule per prefix, and
+        # the distinct wildcard prefix lengths, longest first.
+        self._exact: dict[str, str] = {}
+        self._wildcard: dict[str, str] = {}
+        self._prefix_lengths: tuple[int, ...] = ()
 
     def add_provider(self, provider_id: str, subscriber: str) -> None:
         if not is_token(provider_id) or not is_token(subscriber):

@@ -10,20 +10,25 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import Callable
+
+from msbc.record import Record
 
 HISTORY = 4096  # events retained for snapshot(), count(kind, ctid) and wait_for
 
 
-@dataclass(frozen=True)
-class Event:
-    ts_ms: float
-    kind: str
-    session: str = ""
-    ctid: str = ""
-    wire: int = -1
-    detail: str = ""
+class Event(Record):
+    __slots__ = ("ts_ms", "kind", "session", "ctid", "wire", "detail")
+
+    def __init__(
+        self, ts_ms: float, kind: str, session: str = "", ctid: str = "", wire: int = -1, detail: str = ""
+    ):
+        self.ts_ms = ts_ms
+        self.kind = kind
+        self.session = session
+        self.ctid = ctid
+        self.wire = wire
+        self.detail = detail
 
     def format_line(self) -> str:
         wire = str(self.wire) if self.wire >= 0 else "-"

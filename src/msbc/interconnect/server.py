@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import logging
 import socket
-from dataclasses import dataclass
 
 from msbc.interconnect.broker import Broker, BrokerConfig
 from msbc.interconnect.directory import SubscriptionDirectory
@@ -36,14 +35,20 @@ from msbc.loop import READ, WOULD_BLOCK, WRITE, EventLoop, close_quietly, now_ms
 log = logging.getLogger("msbc.interconnect")
 
 
-@dataclass
 class ServerConfig(BrokerConfig):
     """The broker core's rules, and where the server listens."""
 
-    host: str = "127.0.0.1"
-    signal_port: int = 0  # 0 picks an ephemeral port
-    payload_port: int = 0
-    payload_tls_port: int = 0
+    __slots__ = ("host", "signal_port", "payload_port", "payload_tls_port")
+
+    def __init__(
+        self, host: str = "127.0.0.1", signal_port: int = 0, payload_port: int = 0, payload_tls_port: int = 0,
+        **rules,
+    ):
+        super().__init__(**rules)
+        self.host = host
+        self.signal_port = signal_port  # 0 picks an ephemeral port
+        self.payload_port = payload_port
+        self.payload_tls_port = payload_tls_port
 
 
 class _Conn:

@@ -12,7 +12,6 @@ for packet routing. Endpoints are injective -- one entry per (session, wire).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import Enum
 
 from msbc.wire.types import SERVICE_WIRE
@@ -77,25 +76,32 @@ class EntryState(Enum):
     BUFFERING = "buffering"  # provider side lost; traffic parked
 
 
-@dataclass
 class End:
     """One side of an entry: a wire on a session, with its seq counters."""
 
-    session_id: str
-    wire: int
-    next_seq_in: int = 1   # next seq we expect from this gateway
-    next_seq_out: int = 1  # next seq we will send to this gateway
+    __slots__ = ("session_id", "wire", "next_seq_in", "next_seq_out")
+
+    def __init__(self, session_id: str, wire: int):
+        self.session_id = session_id
+        self.wire = wire
+        self.next_seq_in = 1   # next seq we expect from this gateway
+        self.next_seq_out = 1  # next seq we will send to this gateway
 
 
-@dataclass
 class Entry:
-    ctid: str
-    provider: str
-    state: EntryState = EntryState.PENDING
-    lgw: End | None = None
-    asgw: End | None = None
-    buffer: list = field(default_factory=list)  # (source session id, packet), parked in order
-    buffer_bytes: int = 0
+    __slots__ = ("ctid", "provider", "state", "lgw", "asgw", "buffer", "buffer_bytes")
+
+    def __init__(
+        self, ctid: str, provider: str, state: EntryState = EntryState.PENDING,
+        lgw: End | None = None, asgw: End | None = None,
+    ):
+        self.ctid = ctid
+        self.provider = provider
+        self.state = state
+        self.lgw = lgw
+        self.asgw = asgw
+        self.buffer: list = []  # (source session id, packet), parked in order
+        self.buffer_bytes = 0
 
     def side_for(self, session_id: str) -> End | None:
         if self.lgw is not None and self.lgw.session_id == session_id:

@@ -4,7 +4,10 @@ A dialog runs INVITE -> 200 -> ACK to establish, BYE -> 200 to tear down.
 The INVITE carries the payload-channel offer; the 200 carries the answer.
 Transitions are pure: `on_signal` maps (session, message) to a new
 session plus a list of actions for the owning transport to perform, so the
-machine can be replayed deterministically in tests.
+machine can be replayed deterministically in tests. Sessions, channels and
+actions are plain slotted records (``msbc.record``); they are immutable in
+that nothing mutates one once it is built, and a transition that changes a
+session returns a copy made by ``Session._replace``.
 
 Channel security is decided by access type alone: any side connecting over
 the open internet forces a secure payload channel, while radio accesses
@@ -14,9 +17,9 @@ ride the carrier's own encryption and stay plain.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
 from enum import Enum
 
+from msbc.record import Record
 from msbc.wire.types import (
     Access,
     InvalidFrame,
@@ -52,56 +55,82 @@ class Keepalive(Enum):
     EXPIRED = "expired"
 
 
-@dataclass(frozen=True)
-class NegotiatedChannel:
-    security: Security
-    max_frame_size: int
-    payload_endpoint: str
+class NegotiatedChannel(Record):
+    __slots__ = ("security", "max_frame_size", "payload_endpoint")
+
+    def __init__(self, security: Security, max_frame_size: int, payload_endpoint: str):
+        self.security = security
+        self.max_frame_size = max_frame_size
+        self.payload_endpoint = payload_endpoint
 
 
-@dataclass(frozen=True)
-class Session:
-    """One signaling dialog; immutable, advanced by the operations below."""
+class Session(Record):
+    """One signaling dialog; never mutated, advanced by the operations below."""
 
-    subscriber: str
-    call_id: str
-    role: Role
-    access: Access
-    provider: str | None = None
-    state: SessionState = SessionState.IDLE
-    negotiated: NegotiatedChannel | None = None
-    remote_endpoint: str = ""
-    peer_access: Access | None = None
-    offered: SessionOffer | None = None
-    pending_answer: SessionOffer | None = None
-    answered: bool = False
-    invite_cseq: int = 0
-    bye_cseq: int = 0
+    __slots__ = (
+        "subscriber", "call_id", "role", "access", "provider", "state", "negotiated", "remote_endpoint",
+        "offered", "pending_answer", "answered", "invite_cseq", "bye_cseq",
+    )
+
+    def __init__(
+        self, subscriber: str, call_id: str, role: Role, access: Access, provider: str | None = None,
+        state: SessionState = SessionState.IDLE, negotiated: NegotiatedChannel | None = None,
+        remote_endpoint: str = "", offered: SessionOffer | None = None,
+        pending_answer: SessionOffer | None = None, answered: bool = False, invite_cseq: int = 0,
+        bye_cseq: int = 0,
+    ):
+        self.subscriber = subscriber
+        self.call_id = call_id
+        self.role = role
+        self.access = access
+        self.provider = provider
+        self.state = state
+        self.negotiated = negotiated
+        self.remote_endpoint = remote_endpoint
+        self.offered = offered
+        self.pending_answer = pending_answer
+        self.answered = answered
+        self.invite_cseq = invite_cseq
+        self.bye_cseq = bye_cseq
+
+    def _replace(self, **changes) -> "Session":
+        """A copy with the named fields changed; this session is left as it is."""
+        values = {name: getattr(self, name) for name in self.__slots__}
+        values.update(changes)
+        return Session(**values)
 
 
 # Actions returned by transitions for the owner to execute.
 
 
-@dataclass(frozen=True)
-class SendSignal:
-    msg: SignalMessage
+class SendSignal(Record):
+    __slots__ = ("msg",)
+
+    def __init__(self, msg: SignalMessage):
+        self.msg = msg
 
 
-@dataclass(frozen=True)
-class OpenPayload:
-    channel: NegotiatedChannel
+class OpenPayload(Record):
+    __slots__ = ("channel",)
+
+    def __init__(self, channel: NegotiatedChannel):
+        self.channel = channel
 
 
-@dataclass(frozen=True)
-class OfferReceived:
-    offer: SessionOffer
-    access: Access
+class OfferReceived(Record):
+    __slots__ = ("offer", "access")
+
+    def __init__(self, offer: SessionOffer, access: Access):
+        self.offer = offer
+        self.access = access
 
 
-@dataclass(frozen=True)
-class DialogRejected:
-    status: int
-    reason: str
+class DialogRejected(Record):
+    __slots__ = ("status", "reason")
+
+    def __init__(self, status: int, reason: str):
+        self.status = status
+        self.reason = reason
 
 
 Action = SendSignal | OpenPayload | OfferReceived | DialogRejected
@@ -160,7 +189,6 @@ def receive_invite(msg: SignalMessage, remote_endpoint: str = "") -> Session:
         provider=offer.provider,
         access=msg.access,
         state=SessionState.INVITE_RECEIVED,
-        peer_access=msg.access,
         offered=offer,
         invite_cseq=msg.cseq,
         remote_endpoint=remote_endpoint,
@@ -194,12 +222,12 @@ def accept(session: Session, answer: SessionOffer, txn: str, local_access: Acces
     if session.state is not SessionState.INVITE_RECEIVED:
         raise InvalidConfig(f"cannot accept in state {session.state}")
     msg = _response(session, 200, "OK", session.invite_cseq, txn, local_access, body=answer)
-    return replace(session, answered=True, pending_answer=answer), msg
+    return session._replace(answered=True, pending_answer=answer), msg
 
 
 def reject(session: Session, status: int, reason: str, txn: str, local_access: Access) -> tuple[Session, SignalMessage]:
     msg = _response(session, status, reason, session.invite_cseq, txn, local_access)
-    return replace(session, state=SessionState.CLOSED), msg
+    return session._replace(state=SessionState.CLOSED), msg
 
 
 def make_bye(session: Session, txn: str) -> tuple[Session, SignalMessage]:
@@ -215,7 +243,7 @@ def make_bye(session: Session, txn: str) -> tuple[Session, SignalMessage]:
         access=session.access,
         txn=txn,
     )
-    return replace(session, state=SessionState.CLOSING, bye_cseq=cseq, negotiated=None), msg
+    return session._replace(state=SessionState.CLOSING, bye_cseq=cseq, negotiated=None), msg
 
 
 def on_signal(
@@ -235,15 +263,14 @@ def on_signal(
     if msg.is_request:
         if msg.method is Method.BYE:
             reply = _response(session, 200, "OK", msg.cseq, txn, session.access)
-            return replace(session, state=SessionState.CLOSED, negotiated=None), [SendSignal(reply)]
+            return session._replace(state=SessionState.CLOSED, negotiated=None), [SendSignal(reply)]
         if msg.method is Method.ACK:
             if msg.cseq != session.invite_cseq:
                 return session, []
             if state is SessionState.INVITE_RECEIVED and session.answered:
                 answer = session.pending_answer
                 return (
-                    replace(
-                        session,
+                    session._replace(
                         state=SessionState.ESTABLISHED,
                         negotiated=NegotiatedChannel(
                             answer.security, answer.max_frame_size, answer.payload_endpoint
@@ -270,7 +297,7 @@ def on_signal(
                 and answer.max_frame_size > session.offered.max_frame_size
             ):
                 return (
-                    replace(session, state=SessionState.CLOSED),
+                    session._replace(state=SessionState.CLOSED),
                     [DialogRejected(msg.status, "unusable answer")],
                 )
             channel = NegotiatedChannel(
@@ -286,21 +313,16 @@ def on_signal(
                 access=session.access,
                 txn=txn,
             )
-            established = replace(
-                session,
-                state=SessionState.ESTABLISHED,
-                negotiated=channel,
-                peer_access=msg.access,
-            )
+            established = session._replace(state=SessionState.ESTABLISHED, negotiated=channel)
             return established, [SendSignal(ack), OpenPayload(channel)]
         if msg.status >= 300:
             return (
-                replace(session, state=SessionState.CLOSED),
+                session._replace(state=SessionState.CLOSED),
                 [DialogRejected(msg.status, msg.reason)],
             )
         return session, []  # 1xx: provisional, ignored
     if state is SessionState.CLOSING and msg.cseq == session.bye_cseq and msg.status >= 200:
-        return replace(session, state=SessionState.CLOSED), []
+        return session._replace(state=SessionState.CLOSED), []
     return session, []
 
 

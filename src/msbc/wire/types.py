@@ -9,13 +9,18 @@ Four frame kinds travel over a connection:
 
 Every frame carries a transaction id on its start line; see codec.py for the
 byte-level grammar.
+
+Frames and offers are plain slotted records (``msbc.record``), immutable in
+that nothing mutates one once it is built. ``validate()`` checks one; the
+codec calls it before a frame is encoded.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
+
+from msbc.record import Record
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9._-]+")
 
@@ -143,14 +148,16 @@ class Role(str, Enum):
     ASGW = "asgw"
 
 
-@dataclass(frozen=True, slots=True)
-class WirePacket:
+class WirePacket(Record):
     """Payload frame on a bearer wire; seq is per-wire, per-direction, from 1."""
 
-    txn: str
-    wire: int
-    seq: int
-    payload: bytes
+    __slots__ = ("txn", "wire", "seq", "payload")
+
+    def __init__(self, txn: str, wire: int, seq: int, payload: bytes):
+        self.txn = txn
+        self.wire = wire
+        self.seq = seq
+        self.payload = payload
 
     def validate(self) -> "WirePacket":
         validate_txn(self.txn)
@@ -164,14 +171,16 @@ class WirePacket:
         return self
 
 
-@dataclass(frozen=True, slots=True)
-class DeliveryReport:
+class DeliveryReport(Record):
     """End-to-end acknowledgment for one WirePacket, matched by (txn, wire, seq)."""
 
-    txn: str
-    wire: int
-    seq: int
-    status: int
+    __slots__ = ("txn", "wire", "seq", "status")
+
+    def __init__(self, txn: str, wire: int, seq: int, status: int):
+        self.txn = txn
+        self.wire = wire
+        self.seq = seq
+        self.status = status
 
     def validate(self) -> "DeliveryReport":
         validate_txn(self.txn)
@@ -183,13 +192,15 @@ class DeliveryReport:
         return self
 
 
-@dataclass(frozen=True, slots=True)
-class ControlMessage:
+class ControlMessage(Record):
     """Service-wire verb with ordered string params; always travels on wire 0."""
 
-    verb: Verb
-    params: dict[str, str] = field(default_factory=dict)
-    txn: str = ""
+    __slots__ = ("verb", "params", "txn")
+
+    def __init__(self, verb: Verb, params: dict[str, str] | None = None, txn: str = ""):
+        self.verb = verb
+        self.params = {} if params is None else params
+        self.txn = txn
 
     def validate(self) -> "ControlMessage":
         validate_txn(self.txn)
@@ -213,15 +224,20 @@ class ControlMessage:
         return int(wire) if wire is not None and _decimal(wire) else None
 
 
-@dataclass(frozen=True)
-class SessionOffer:
+class SessionOffer(Record):
     """Payload-channel parameters carried in INVITE bodies and 200 answers."""
 
-    security: Security
-    max_frame_size: int
-    payload_endpoint: str
-    role: Role
-    provider: str | None = None
+    __slots__ = ("security", "max_frame_size", "payload_endpoint", "role", "provider")
+
+    def __init__(
+        self, security: Security, max_frame_size: int, payload_endpoint: str, role: Role,
+        provider: str | None = None,
+    ):
+        self.security = security
+        self.max_frame_size = max_frame_size
+        self.payload_endpoint = payload_endpoint
+        self.role = role
+        self.provider = provider
 
     def validate(self) -> "SessionOffer":
         if not isinstance(self.security, Security):
@@ -239,21 +255,29 @@ class SessionOffer:
         return self
 
 
-@dataclass(frozen=True, slots=True)
-class SignalMessage:
+class SignalMessage(Record):
     """Dialog signaling frame: INVITE/ACK/BYE request or a numbered response."""
 
-    kind: str  # "request" | "response"
-    from_id: str
-    to_id: str
-    call_id: str
-    cseq: int
-    access: Access
-    method: Method | None = None
-    status: int | None = None
-    reason: str = ""
-    body: SessionOffer | None = None
-    txn: str = ""
+    __slots__ = (
+        "kind", "from_id", "to_id", "call_id", "cseq", "access", "method", "status", "reason", "body", "txn"
+    )
+
+    def __init__(
+        self, kind: str, from_id: str, to_id: str, call_id: str, cseq: int, access: Access,
+        method: Method | None = None, status: int | None = None, reason: str = "",
+        body: SessionOffer | None = None, txn: str = "",
+    ):
+        self.kind = kind  # "request" | "response"
+        self.from_id = from_id
+        self.to_id = to_id
+        self.call_id = call_id
+        self.cseq = cseq
+        self.access = access
+        self.method = method
+        self.status = status
+        self.reason = reason
+        self.body = body
+        self.txn = txn
 
     def validate(self) -> "SignalMessage":
         validate_txn(self.txn)

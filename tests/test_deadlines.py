@@ -265,7 +265,7 @@ def test_transmits_whose_reports_arrive_wake_the_loop_a_bounded_number_of_times(
 def test_an_idle_open_gateway_ticks_about_once_per_keepalive_interval(broker_probes):
     # A broker on the gateways' interval probes first and the gateways only
     # answer; one on a four times longer interval leaves the probing to them.
-    interval = GatewayConfig.keepalive_interval_ms
+    interval = GatewayConfig("gw", Role.LGW, "127.0.0.1:1").keepalive_interval_ms  # the default
     with virtual_net(None if broker_probes else 4 * interval) as (net, clock), \
             mock.patch("msbc.interconnect.broker.liveness", side_effect=liveness) as checks:
         ticks = collections.Counter()

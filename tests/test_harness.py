@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from msbc.cli import _load_server_config, admin_main, harness_main
+from msbc.interconnect import BrokerConfig, ServerConfig
 from msbc.harness import (
     Distribution,
     MetricsReport,
@@ -305,6 +306,21 @@ def test_broker_config_parser(tmp_path):
     assert config.signal_port == 4750
     assert config.keepalive_interval_ms == 750.0
     assert config.payload_port == 0  # untouched fields keep their defaults
+
+
+def test_broker_config_reads_every_setting_with_its_type(tmp_path):
+    values = {
+        "host": "10.0.0.7", "signal_port": 4750, "payload_port": 4751, "payload_tls_port": 4752,
+        "keepalive_interval_ms": 750.0, "keepalive_misses": 5, "buffer_max_packets": 64,
+        "buffer_max_bytes": 65536, "max_frame_size": 4096,
+    }
+    assert set(values) == set(ServerConfig.__slots__) | set(BrokerConfig.__slots__)
+    cfg = tmp_path / "broker.cfg"
+    cfg.write_text("".join(f"{key} = {value:g}\n" if isinstance(value, float) else f"{key} = {value}\n"
+                           for key, value in values.items()))
+    config = _load_server_config(str(cfg))
+    for key, value in values.items():
+        assert getattr(config, key) == value and type(getattr(config, key)) is type(value), key
 
 
 @pytest.mark.parametrize("line", ["colour=blue", "signal_port=lots", "just words"])

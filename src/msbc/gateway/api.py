@@ -50,6 +50,7 @@ from msbc.wire import (
     DEFAULT_FRAME_SIZE,
     DeliveryReport,
     Frame,
+    InvalidFrame,
     MAX_FRAME_SIZE,
     ProtocolViolation,
     Role,
@@ -63,7 +64,7 @@ from msbc.wire import (
     Verb,
     WirePacket,
 )
-from msbc.wire.types import validate_ctid
+from msbc.wire.types import is_token, parse_endpoint, validate_ctid
 
 from msbc.gateway.link import Link, LinkControl
 from msbc.loop import EventLoop, now_ms as _now_ms
@@ -711,8 +712,17 @@ class Gateway:
     """One gateway endpoint. Use open_gateway() for the common case."""
 
     def __init__(self, config: GatewayConfig, receiver: Receiver | None = None):
-        if config.role is Role.ASGW and not config.provider:
-            raise ValueError("an application-service gateway needs a provider id")
+        # The config's wire values are checked here, once: the frames built
+        # from them are not checked again. The offer's endpoint is the
+        # link's own address, so the broker's stands in for it.
+        if not isinstance(config.subscriber, str) or not is_token(config.subscriber):
+            raise InvalidFrame(f"invalid subscriber: {config.subscriber!r}")
+        if not isinstance(config.access, Access):
+            raise InvalidFrame(f"invalid access: {config.access!r}")
+        parse_endpoint(config.broker_endpoint)
+        SessionOffer(
+            Security.PLAIN, config.max_frame_size, config.broker_endpoint, config.role, config.provider
+        ).validate()
         self.config = config
         self.receiver = receiver if receiver is not None else Receiver()
         self.control = LinkControl()
@@ -800,6 +810,8 @@ class Gateway:
         return self._locked(self._core.detach_device, ctid)
 
     def transmit(self, ctid: str, payload: bytes) -> Delivery:
+        if not isinstance(payload, bytes):
+            raise TypeError(f"payload must be bytes, not {type(payload).__name__}")
         return self._locked(self._core.transmit, ctid, payload, _now_ms())
 
     # ---------------------------------------------------------------- faults
@@ -808,6 +820,8 @@ class Gateway:
         """Abandon the current links mid-flight (no FIN, pure silence) and
         re-open from a new source address and/or access network. Models a
         physical uplink change."""
+        if access is not None and not isinstance(access, Access):
+            raise InvalidFrame(f"invalid access: {access!r}")
         self._locked(self._core.switch_endpoint, local_address, access, _now_ms())
 
     # ------------------------------------------------------------- internals

@@ -92,13 +92,6 @@ class SubscriptionDirectory:
         lengths = {*self._prefix_lengths, len(rule.prefix)}
         self._prefix_lengths = tuple(sorted(lengths, reverse=True))
 
-    def subscriber_provider(self, subscriber: str) -> str | None:
-        """Provider id registered for a gateway subscriber id, if any."""
-        for rec in self.providers.values():
-            if rec.subscriber == subscriber:
-                return rec.provider_id
-        return None
-
 
 def lookup_provider(directory: SubscriptionDirectory, ctid: str) -> str | None:
     """Resolve a device id to its provider, or None when no rule applies."""

@@ -17,19 +17,23 @@ contain CR, LF or anything else. The encoder emits headers in the canonical
 order above; the decoder accepts any header order and ignores unknown keys
 (for CONTROL, unrecognized keys are the verb params).
 
-Validation happens once per field, on one of two paths. A SEND or REPORT
-header block in exactly the layout encode_frame writes (Wire, Seq, then
-Length or Status, no leading zeros) is read by one compiled match; the
-parser then range-checks its numbers and checks the payload terminator,
-and builds the frame. Every other block, and any block that fails one of
-those checks, takes the general path, which checks every field that
-arrives from a peer as it builds the frame: the header block's caps and
-printability, the start line, each header line, the numbers, the enums and
-each kind's own rules (a SIGNAL's dialog rules are SignalMessage.validate's).
-Only the general path raises, so the frames and every ProtocolViolation are
-the same whichever path a block takes. Neither path validates the frames it
-builds a second time. encode_frame validates the frame it is given, which
-the broker and the SDK build from their own values.
+Each field is checked once, where it enters the program. A peer's bytes
+are checked here, on one of two paths. A SEND or REPORT header block in
+exactly the layout encode_frame writes (Wire, Seq, then Length or Status,
+no leading zeros) is read by one compiled match; the parser then
+range-checks its numbers and checks the payload terminator, and builds the
+frame. Every other block, and any block that fails one of those checks,
+takes the general path, which checks every field that arrives from a peer
+as it builds the frame: the header block's caps and printability, the start
+line, each header line, the numbers, the enums and each kind's own rules (a
+SIGNAL's dialog rules are SignalMessage.validate's). Only the general path
+raises, so the frames and every ProtocolViolation are the same whichever
+path a block takes. Neither path validates the frames it builds a second
+time. The gateway SDK checks an application's values at its public calls,
+before anything is queued; every other field of an outgoing frame is a
+decoded one, a counter or a constant. So encode_frame checks nothing.
+StreamParser parses a chunk in place when nothing is held over from an
+earlier feed, and keeps only its unfinished tail.
 """
 
 from __future__ import annotations
@@ -105,8 +109,7 @@ class ProtocolViolation(Exception):
 
 
 def encode_frame(frame: Frame) -> bytes:
-    """Serialize a frame to its exact wire bytes; raises InvalidFrame."""
-    frame.validate()
+    """Serialize a valid frame to its exact wire bytes; it is not checked again."""
     if isinstance(frame, WirePacket):
         return b"MSBC SEND %b\r\nWire: %d\r\nSeq: %d\r\nLength: %d\r\n\r\n%b\r\n" % (
             frame.txn.encode("ascii"), frame.wire, frame.seq, len(frame.payload), frame.payload
@@ -175,25 +178,32 @@ class StreamParser:
         return len(self._buf)
 
     def feed(self, data: bytes) -> list[Frame]:
-        """Buffer data and return every newly completed frame."""
-        buf = self._buf
-        buf += data
+        """Return every frame data completes, buffering the rest."""
+        # With nothing held over, a bytes chunk is parsed where it lies and
+        # only its unconsumed tail is copied; _partial's offsets are relative
+        # to the front frame's start, so they hold in either buffer.
+        held = buf = self._buf
+        if held or type(data) is not bytes:
+            held += data
+        else:
+            buf = data
         frames: list[Frame] = []
         pos = 0
         while pos < len(buf):
-            frame, pos_after = self._parse_one(pos)
+            frame, pos_after = self._parse_one(buf, pos)
             if frame is None:
                 break
             frames.append(frame)
             pos = pos_after
             self._partial = _NOTHING_YET
-        if pos:
-            del buf[:pos]
-            self._consumed += pos
+        if buf is held:
+            del held[:pos]
+        elif pos < len(buf):
+            held += memoryview(buf)[pos:]
+        self._consumed += pos
         return frames
 
-    def _parse_one(self, pos: int) -> tuple[Frame | None, int]:
-        buf = self._buf
+    def _parse_one(self, buf: bytes | bytearray, pos: int) -> tuple[Frame | None, int]:
         start = self._consumed + pos
         need, searched, checked, lines = self._partial
         if len(buf) - pos < need:
@@ -259,7 +269,7 @@ class StreamParser:
         return _signal(start, txn, headers, payload), end + 2
 
 
-def _head(start: int, block: bytearray) -> tuple[FrameKind, str, list[tuple[str, str]]]:
+def _head(start: int, block: bytes | bytearray) -> tuple[FrameKind, str, list[tuple[str, str]]]:
     """Check the complete lines of a header block: the start line, then at
     most MAX_HEADER_COUNT header lines, each printable ASCII within
     MAX_LINE_BYTES. ``start`` is the block's offset in the stream."""

@@ -11,8 +11,10 @@ Every frame carries a transaction id on its start line; see codec.py for the
 byte-level grammar.
 
 Frames and offers are plain slotted records (``msbc.record``), immutable in
-that nothing mutates one once it is built. ``validate()`` checks one; the
-codec calls it before a frame is encoded.
+that nothing mutates one once it is built. ``validate()`` checks one. The
+decoder calls it on a SIGNAL from a peer; the encoder calls none, since
+every value a frame is built from was checked where it entered (see
+codec.py).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ REPORT_STATUSES = (STATUS_DELIVERED, STATUS_PEER_UNAVAILABLE, STATUS_NO_SUCH_WIR
 
 
 class InvalidFrame(ValueError):
-    """A frame value violates its type invariants and cannot be encoded."""
+    """A frame, or a value bound for one, violates its type invariants."""
 
 
 def is_token(value: str, min_len: int = 1, max_len: int = CTID_MAX_LEN) -> bool:

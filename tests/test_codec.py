@@ -140,8 +140,25 @@ class TestEncode:
         ],
     )
     def test_invalid_frames_rejected(self, bad):
+        # encode_frame checks nothing; each value is checked where it enters
         with pytest.raises(InvalidFrame):
-            encode_frame(bad)
+            bad.validate()
+
+    def test_encode_calls_no_validate(self, monkeypatch):
+        frames = [
+            WirePacket(txn="t00000001", wire=1, seq=1, payload=b"x"),
+            DeliveryReport(txn="t00000001", wire=1, seq=1, status=200),
+            ControlMessage(Verb.PING, {}, txn="t00000001"),
+            SignalMessage(
+                kind="request", method=Method.INVITE, from_id="a-1", to_id="b-1",
+                call_id="c-1", cseq=1, access=Access.RADIO, body=offer(), txn="t00000001",
+            ),
+        ]
+        for cls in {type(f) for f in frames} | {SessionOffer}:
+            monkeypatch.setattr(cls, "validate", None)
+        data = b"".join(map(encode_frame, frames))
+        monkeypatch.undo()  # the decoder validates a SIGNAL
+        assert decode_stream(data) == (frames, len(data))
 
     def test_asgw_offer_requires_provider(self):
         with pytest.raises(InvalidFrame):
@@ -160,7 +177,7 @@ class TestEncode:
             txn="t00000001",
         )
         with pytest.raises(InvalidFrame):
-            encode_frame(msg)
+            msg.validate()
 
     def test_bye_refuses_body(self):
         msg = SignalMessage(
@@ -175,7 +192,7 @@ class TestEncode:
             txn="t00000001",
         )
         with pytest.raises(InvalidFrame):
-            encode_frame(msg)
+            msg.validate()
 
 
 class TestDecode:

@@ -126,12 +126,6 @@ def test_catch_all_rule():
     assert lookup_provider(d, "anything.at.all") == "misc"
 
 
-def test_subscriber_provider():
-    d = parse_directory(SAMPLE)
-    assert d.subscriber_provider("as-metering") == "metering"
-    assert d.subscriber_provider("as-unknown") is None
-
-
 # -- oracle property ---------------------------------------------------------
 
 _label = st.text(alphabet="abcdefg.", min_size=1, max_size=8)

@@ -17,7 +17,7 @@ from msbc.gateway import (
     open_gateway,
 )
 from msbc.interconnect import BrokerServer, ServerConfig, parse_directory
-from msbc.wire import Access, Role, Security
+from msbc.wire import MAX_FRAME_SIZE, Access, Role, Security
 
 DIRECTORY = parse_directory(
     """
@@ -164,6 +164,27 @@ def test_asgw_requires_provider():
         Gateway(GatewayConfig("as-metering", Role.ASGW, "127.0.0.1:1"))
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("subscriber", "home 1"),
+        ("subscriber", "h" * 65),
+        ("role", "lgw"),
+        ("access", "radio"),
+        ("provider", "no such/provider"),
+        ("max_frame_size", 10),
+        ("max_frame_size", MAX_FRAME_SIZE + 1),
+        ("broker_endpoint", "127.0.0.1"),
+    ],
+)
+def test_invalid_config_is_refused_at_construction(field, value):
+    # Refused before anything is queued: accepted, it wedged open() and abort().
+    config = GatewayConfig("home-1", Role.LGW, "127.0.0.1:1")
+    setattr(config, field, value)
+    with pytest.raises(ValueError):
+        Gateway(config)
+
+
 def test_open_times_out_when_broker_unreachable():
     config = GatewayConfig(
         "home-1", Role.LGW, "127.0.0.1:9", reconnect_initial_ms=20.0, reconnect_max_ms=50.0
@@ -306,6 +327,25 @@ def test_transmit_oversized_payload_raises(pair):
     limit = lgw.negotiated.max_frame_size
     with pytest.raises(ValueError):
         lgw.transmit("meter.a", b"x" * (limit + 1))
+
+
+def test_non_bytes_payload_is_refused_before_it_is_queued(pair):
+    _, _, sink, lgw, _ = pair
+    lgw.attach_device("meter.a").wait(5)
+    with pytest.raises(TypeError):
+        lgw.transmit("meter.a", bytearray(b"abc"))
+    assert lgw.transmit("meter.a", b"abc").wait(5) is DeliveryStatus.DELIVERED
+    assert wait_until(lambda: sink.data == [("meter.a", b"abc")])
+    lgw.abort()
+
+
+def test_invalid_access_is_refused_by_switch_endpoint(pair):
+    _, _, _, lgw, _ = pair
+    lgw.attach_device("meter.a").wait(5)
+    with pytest.raises(ValueError):
+        lgw.switch_endpoint(access="internet")
+    assert lgw.state is GatewayState.OPEN
+    assert lgw.transmit("meter.a", b"still here").wait(5) is DeliveryStatus.DELIVERED
 
 
 @pytest.mark.parametrize("access", [Access.RADIO, Access.INTERNET], ids=["radio", "internet"])

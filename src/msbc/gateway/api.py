@@ -518,7 +518,7 @@ class GatewayCore:
         self._last_rx_ms = now
         if isinstance(frame, SignalMessage):
             if link is self._signal:
-                self._handle_signal(frame)
+                self._handle_signal(frame, now)
         elif isinstance(frame, ControlMessage):
             self._handle_control(link, frame)
         elif isinstance(frame, WirePacket):
@@ -528,7 +528,7 @@ class GatewayCore:
             if d is not None:
                 d._resolve(_STATUS_MAP.get(frame.status, DeliveryStatus.PEER_UNAVAILABLE))
 
-    def _handle_signal(self, msg: SignalMessage) -> None:
+    def _handle_signal(self, msg: SignalMessage, now: float) -> None:
         sess = self.session
         if sess is None:
             return
@@ -838,20 +838,20 @@ class Gateway:
         return result
 
     def _flush(self) -> None:
-        """Carry out what the core queued: each link's frames in one write,
-        then the closes, so a frame queued before a close leaves before the
-        FIN. Callers hold the lock."""
+        """Write each link's queued frames in one write, then the queued
+        closes (a frame leaves before its FIN). The queues leave the core
+        first, so a raising write cannot wedge later calls. Callers hold the lock."""
         core = self._core
-        if core.out:
-            for link, frames in core.out.items():
+        out, core.out = core.out, {}
+        closes, core.closes = core.closes, []
+        try:
+            for link, frames in out.items():
                 for frame in frames:
                     link.send_frame(frame)
                 link.flush()
-            core.out.clear()
-        if core.closes:
-            for link in core.closes:
+        finally:
+            for link in closes:
                 link.close()
-            core.closes.clear()
 
     def _tick(self, now: float) -> None:
         self._locked(self._core.on_tick, now)

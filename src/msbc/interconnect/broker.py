@@ -44,7 +44,7 @@ from msbc.session import (
 )
 from msbc.interconnect.directory import SubscriptionDirectory, lookup_provider
 from msbc.interconnect.events import Event, EventLog
-from msbc.interconnect.wiretable import End, Entry, EntryState, WireAllocator, WireTable
+from msbc.interconnect.wiretable import End, Entry, EntryState, WireAllocator, WireExhausted, WireTable
 from msbc.wire import (
     Access,
     ControlMessage,
@@ -453,13 +453,13 @@ class Broker:
             self._send_control(bs, Verb.ERROR, {"Ctid": ctid, "Reason": "no-route"})
             return
         asgw = self._provider_session(provider)
-        if asgw is None:
-            self._send_control(bs, Verb.ERROR, {"Ctid": ctid, "Reason": "provider-unavailable"})
-            return
-        if (asgw.id, ctid) in self.pending_auth:
+        if asgw is not None and (asgw.id, ctid) in self.pending_auth:
             self._send_control(bs, Verb.ERROR, {"Ctid": ctid, "Reason": "busy"})
             return
-        wire = asgw.allocator.allocate()
+        wire = self._allocate(asgw) if asgw is not None else None
+        if wire is None:
+            self._send_control(bs, Verb.ERROR, {"Ctid": ctid, "Reason": "provider-unavailable"})
+            return
         self.pending_auth[(asgw.id, ctid)] = _PendingAuth(
             kind="commission",
             asgw_id=asgw.id,
@@ -486,13 +486,14 @@ class Broker:
                 self._flush_buffer(entry, bs)
             return
         requester = self.sessions.get(pending.requester)
-        if requester is None or requester.session.state is not SessionState.ESTABLISHED:
-            bs.allocator.cancel(pending.wire)
-            return
-        if pending.ctid in self.table.by_ctid:
+        live = requester is not None and requester.session.state is SessionState.ESTABLISHED
+        if live and pending.ctid in self.table.by_ctid:
             self._end_auth(pending, "duplicate")
             return
-        wire = requester.allocator.allocate()
+        wire = self._allocate(requester) if live else None
+        if wire is None:  # the requester is gone, or just retired for want of ids
+            bs.allocator.cancel(pending.wire)
+            return
         entry = Entry(
             ctid=pending.ctid,
             provider=bs.provider or "",
@@ -559,8 +560,8 @@ class Broker:
         self._event("decommissioned", ctid=entry.ctid, detail=reason)
 
     def _release(self, ctid: str, end: End | None, verb: Verb) -> None:
-        """Quarantine ``end``'s wire until its gateway acks ``verb``; an end
-        whose session is gone has nothing left to release."""
+        """Send ``verb`` to ``end``'s gateway and track its ack in quarantine (the
+        wire is never issued again); an end whose session is gone has none."""
         owner = self.sessions.get(end.session_id) if end is not None else None
         if owner is None or owner.session.state is not SessionState.ESTABLISHED:
             return
@@ -723,6 +724,16 @@ class Broker:
         self._session_lost(bs, reason)
 
     # -- plumbing ------------------------------------------------------------
+
+    def _allocate(self, bs: _BrokerSession) -> int | None:
+        """A fresh wire id on ``bs``, or None once its ids are spent: the session
+        is then retired and its gateway re-INVITEs. Rebinding and reattaching
+        allocate directly, as a session just established cannot run out."""
+        try:
+            return bs.allocator.allocate()
+        except WireExhausted:
+            self._session_lost(bs, "wire-exhausted")
+            return None
 
     def _provider_session(self, provider: str) -> _BrokerSession | None:
         for bs in self.sessions.values():

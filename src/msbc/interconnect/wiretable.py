@@ -1,9 +1,9 @@
 """Wire-id allocation and the CTID-keyed routing table.
 
-Each session owns an allocator handing out the lowest free wire id >= 1.
-A released id sits in quarantine until the owning gateway acknowledges the
-teardown (or the whole session disappears), so an id cannot be re-issued
-while frames for its previous life may still be in flight.
+Each session's allocator counts wire ids up from 1 and never issues one
+twice (as QUIC never reuses a stream id), so a late packet for a detached
+device finds no binding and is answered no-wire. A released id sits in
+quarantine only until its gateway acknowledges the teardown.
 
 The table maps a device both ways: by ctid, and by (session, wire) endpoint
 for packet routing. Endpoints are injective -- one entry per (session, wire).
@@ -11,7 +11,6 @@ for packet routing. Endpoints are injective -- one entry per (session, wire).
 
 from __future__ import annotations
 
-import heapq
 from enum import Enum
 
 from msbc.wire.types import SERVICE_WIRE
@@ -22,25 +21,18 @@ class WireExhausted(RuntimeError):
 
 
 class WireAllocator:
-    """Lowest-free allocation with a quarantine stage on release."""
+    """Counts ids up from 1 to ``limit``, then raises ``WireExhausted``;
+    a released id waits in quarantine for its teardown ack."""
 
     def __init__(self, limit: int = 2**32 - 1):
-        self._limit = limit
-        self._next = 1
-        self._free: list[int] = []  # heap of returned ids below _next
+        self._ids = iter(range(1, limit + 1))
         self._live: set[int] = set()
         self._quarantine: set[int] = set()
 
     def allocate(self) -> int:
-        while self._free:
-            wire = heapq.heappop(self._free)
-            if wire not in self._live and wire not in self._quarantine:
-                self._live.add(wire)
-                return wire
-        if self._next > self._limit:
+        wire = next(self._ids, None)
+        if wire is None:
             raise WireExhausted("wire id space exhausted")
-        wire = self._next
-        self._next += 1
         self._live.add(wire)
         return wire
 
@@ -50,16 +42,12 @@ class WireAllocator:
         self._quarantine.add(wire)
 
     def finish_release(self, wire: int) -> None:
-        """Ack received: the id may be handed out again."""
-        if wire in self._quarantine:
-            self._quarantine.discard(wire)
-            heapq.heappush(self._free, wire)
+        """Ack received: the id leaves quarantine, never to be issued again."""
+        self._quarantine.discard(wire)
 
     def cancel(self, wire: int) -> None:
-        """Return an id that never carried traffic straight to the pool."""
-        if wire in self._live:
-            self._live.discard(wire)
-            heapq.heappush(self._free, wire)
+        """Drop a live id that never carried traffic."""
+        self._live.discard(wire)
 
     @property
     def live(self) -> frozenset[int]:

@@ -7,12 +7,15 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from msbc.interconnect import broker as broker_module
 from msbc.interconnect.broker import Broker, BrokerConfig
 from msbc.interconnect.directory import parse_directory
-from msbc.interconnect.wiretable import EntryState
+from msbc.interconnect.wiretable import EntryState, WireAllocator
 from msbc.session import OpenPayload, SendSignal, make_bye, make_invite, on_signal
 from msbc.wire import (
     Access,
@@ -29,6 +32,7 @@ from msbc.wire import (
     WirePacket,
     encode_frame,
 )
+from msbc.wire.types import CTID_VERBS, WIRE_VERBS
 
 DIRECTORY = """\
 provider metering subscriber=as-metering
@@ -299,8 +303,9 @@ def test_commission_denied(pair):
     asgw.control(Verb.DENIED, {"Ctid": "meter.1"})
     err = lgw.signal_frames()[-1]
     assert err.params["Reason"] == "denied"
-    # The provisionally allocated provider wire goes straight back.
-    assert commission(rig, lgw, asgw, "meter.2") == (1, int(auth.wire_param))
+    # The provisionally allocated provider wire is dropped and never reissued.
+    assert not rig.broker.sessions[asgw.session.call_id].allocator.live
+    assert commission(rig, lgw, asgw, "meter.2") == (1, int(auth.wire_param) + 1)
 
 
 def test_authorize_timeout():
@@ -448,7 +453,7 @@ def test_decommission_notifies_both_sides(pair):
     assert rig.events.count("decommissioned", "meter.1") == 1
 
 
-def test_wire_reuse_waits_for_ack(pair):
+def test_a_released_wire_is_never_issued_again(pair):
     rig, lgw, asgw = pair
     commission(rig, lgw, asgw, "meter.1")  # wires (1, 1)
     lgw.control(Verb.DECOMMISSION, {"Ctid": "meter.1"})
@@ -459,7 +464,30 @@ def test_wire_reuse_waits_for_ack(pair):
     lgw.control(Verb.DECOMMISSIONED, {"Ctid": "meter.1"})
     asgw.control(Verb.DECOMMISSIONED, {"Ctid": "meter.1"})
     assert rig.events.count("released") == 2
-    assert commission(rig, lgw, asgw, "meter.3") == (1, 1)
+    assert commission(rig, lgw, asgw, "meter.3") == (3, 3)
+
+
+def test_a_held_send_for_a_detached_device_finds_no_wire(pair):
+    # The home's SEND for meter.a is still unread by the broker while
+    # meter.a is detached (both sides ack) and meter.b attached. It must not
+    # be relayed as meter.b's data, nor break meter.b's seq count.
+    rig, lgw, asgw = pair
+    lw_a, _ = commission(rig, lgw, asgw, "meter.a")
+    held = WirePacket(txn=rig.txns.next(), wire=lw_a, seq=1, payload=b"for a")
+    lgw.control(Verb.DECOMMISSION, {"Ctid": "meter.a"})
+    for gw in (lgw, asgw):
+        gw.signal_frames()
+        gw.control(Verb.DECOMMISSIONED, {"Ctid": "meter.a"})
+    lw_b, aw_b = commission(rig, lgw, asgw, "meter.b")
+    rig.feed(lgw.payload, held)
+    [rpt] = lgw.payload_frames()
+    assert (rpt.txn, rpt.status) == (held.txn, 481)
+    assert asgw.payload_frames() == []
+    lgw.send(lw_b, 1, b"for b")
+    [got] = asgw.payload_frames()
+    assert (got.wire, got.seq, got.payload) == (aw_b, 1, b"for b")
+    assert lgw.session.call_id in rig.broker.sessions
+    assert not rig.kinds("protocol_error")
 
 
 def test_teardown_state_is_clean_only_once_every_wire_is_released(pair):
@@ -510,6 +538,36 @@ def test_a_lost_session_reports_every_wire_it_was_releasing(pair):
     rig.broker.on_disconnect(asgw.signal, rig.now)
     released = [e.wire for e in rig.kinds("released") if e.session == asgw.session.call_id]
     assert released == [first[1], second[1]]
+
+
+@pytest.mark.parametrize("spent", ["provider", "home"])
+def test_a_session_out_of_wire_ids_is_retired_and_the_commission_answered(pair, spent):
+    # The provider runs out allocating for a COMMISSION, the home for the
+    # AUTHORIZED that answers it; either way the frame in hand finishes.
+    rig, lgw, asgw = pair
+    gw = asgw if spent == "provider" else lgw
+    rig.broker.sessions[gw.session.call_id].allocator = WireAllocator(limit=1)
+    commission(rig, lgw, asgw, "meter.1")
+    lgw.control(Verb.COMMISSION, {"Ctid": "meter.2"})  # must not raise
+    if spent == "home":
+        auth = asgw.signal_frames()[-1]
+        asgw.control(Verb.AUTHORIZED, {"Ctid": "meter.2", "Wire": str(auth.wire_param)})
+    [closed] = [e for e in rig.kinds("session_closed") if e.session == gw.session.call_id]
+    assert closed.detail == "wire-exhausted"
+    assert gw.signal in rig.outbox.closed and gw.payload in rig.outbox.closed
+    assert not rig.broker.pending_auth
+    if spent == "provider":
+        err = lgw.signal_frames()[-1]
+        assert err.verb is Verb.ERROR and err.params == {"Ctid": "meter.2", "Reason": "provider-unavailable"}
+        assert rig.broker.table.by_ctid["meter.1"].state is EntryState.BUFFERING
+        # a fresh INVITE gets a fresh allocator, and the parked entry comes back
+        again = Gw(rig, "as-metering", Role.ASGW, "metering")
+        auth = again.signal_frames()[-1]
+        assert (auth.verb, auth.ctid, auth.wire_param) == (Verb.AUTHORIZE, "meter.1", 1)
+    else:
+        assert not rig.broker.table.by_ctid
+        assert [f.verb for f in asgw.signal_frames()] == [Verb.PEER_DOWN]
+        assert not rig.broker.sessions[asgw.session.call_id].allocator.live
 
 
 def test_decommission_unknown_is_idempotent(pair):
@@ -828,3 +886,114 @@ def test_tracing_hooks_resolve_and_count_a_park_and_a_flush():
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# -- any well-formed frame in any state -----------------------------------------
+
+SLOTS = (("home-gw", Role.LGW, None), ("other-gw", Role.LGW, None), ("as-metering", Role.ASGW, "metering"))
+CTIDS = ("meter.1", "meter.2", "light.1")  # light.* has no provider online
+slot, index = st.integers(0, 2), st.integers(0, 3)
+conn = st.sampled_from(["payload"] * 15 + ["signal"])
+# (weight, step). one_of favours its first branches and counts a branch
+# repeated as one object once, so each repeat below is its own map.
+WEIGHTED = [
+    (12, st.tuples(st.just("next"), slot, index, st.sampled_from([True, True, True, False]))),
+    (4, st.tuples(st.just("send"), slot, conn, index, st.sampled_from([0, 0, 0, 1]))),
+    (2, st.tuples(st.just("report"), slot, conn, index, st.sampled_from([200, 480, 481]))),
+    (2, st.tuples(st.just("control"), slot, conn, st.sampled_from(list(Verb)), st.sampled_from(CTIDS),
+                  index)),
+    (1, st.tuples(st.just("tick"), st.sampled_from([0, 50, 150, 400]))),
+    (1, st.tuples(st.just("drop"), slot, conn)),
+    (1, st.tuples(st.just("signal"), slot, st.sampled_from(["bye", "ack"]))),
+    (1, st.tuples(st.just("invite"), slot)),
+]
+STEP = st.one_of(*[step.map(tuple) for weight, step in WEIGHTED for _ in range(weight)])
+
+
+def next_frame(rig, gw, i, ok):
+    """What a gateway would send next: an answer to an AUTHORIZE, an ack
+    of a release, or else a DECOMMISSION of a device it has, a COMMISSION
+    of one it has not."""
+    sid, broker = gw.session.call_id, rig.broker
+    asked = [ctid for key, ctid in broker.pending_auth if key == sid]
+    releasing = sorted(broker.sessions[sid].releasing) if sid in broker.sessions else []
+    if asked:
+        return (Verb.AUTHORIZED if ok else Verb.DENIED), asked[i % len(asked)]
+    if releasing:
+        return Verb.DECOMMISSIONED, releasing[i % len(releasing)]
+    entry = broker.table.by_ctid.get(CTIDS[i % len(CTIDS)])
+    has = entry is not None and entry.side_for(sid) is not None
+    return (Verb.DECOMMISSION if has else Verb.COMMISSION), CTIDS[i % len(CTIDS)]
+
+
+class RecordingAllocator(WireAllocator):
+    def __init__(self, limit=2**32 - 1):
+        super().__init__(limit)
+        self.issued = []
+
+    def allocate(self):
+        self.issued.append(super().allocate())
+        return self.issued[-1]
+
+
+def play(rig, gws, step):
+    kind, *args = step
+    gw = gws[args[0]] if kind not in ("tick", "invite") else None
+    if kind == "invite":
+        gws[args[0]] = Gw(rig, *SLOTS[args[0]])
+    elif kind == "next":
+        verb, ctid = next_frame(rig, gw, args[1], args[2])
+        params = {"Ctid": ctid, "Wire": str(args[1])} if verb in WIRE_VERBS else {"Ctid": ctid}
+        rig.feed(gw.signal, ControlMessage(verb, params, txn=rig.txns.next()))
+    elif kind == "control":
+        _, side, verb, ctid, wire = args
+        params = {"Ctid": ctid} if verb in CTID_VERBS else {}
+        if verb in WIRE_VERBS or wire == 3:
+            params["Wire"] = str(wire)
+        rig.feed(getattr(gw, side), ControlMessage(verb, params, txn=rig.txns.next()))
+    elif kind == "send":  # mostly on a wire bound to this gateway, at the seq it expects next
+        _, side, i, skew = args
+        sid = gw.session.call_id
+        ends = sorted(
+            (wire, entry.side_for(sid).next_seq_in)
+            for (owner, wire), entry in rig.broker.table.by_end.items() if owner == sid
+        )
+        wire, seq = ends[i % len(ends)] if ends and i < 3 else (i, 1)
+        rig.feed(getattr(gw, side), WirePacket(rig.txns.next(), wire, seq + skew, b"x"))
+    elif kind == "report":  # mostly on a packet relayed to this gateway and not yet answered
+        live = sorted(txn for sid, txn in rig.broker.pending_relay if sid == gw.session.call_id)
+        txn = live[args[2] % len(live)] if live else f"b{args[2]:07d}"
+        rig.feed(getattr(gw, args[1]), DeliveryReport(txn, 1, 1, args[3]))
+    elif kind == "signal" and args[1] == "bye":
+        gw.session, bye = make_bye(gw.session, rig.txns.next())
+        rig.feed(gw.signal, bye)
+    elif kind == "signal":
+        rig.feed(gw.signal, gw.actions[0].msg)  # the ACK again
+    elif kind == "tick":
+        rig.tick(args[0])
+    else:
+        rig.broker.on_disconnect(getattr(gw, args[1]), rig.now)
+
+
+@given(st.integers(0, 2), st.lists(STEP, min_size=20, max_size=60))
+@settings(max_examples=150)
+def test_any_frames_leave_no_trace_once_every_connection_drops(limited, steps):
+    allocators = []
+
+    def allocator(limit=2**32 - 1):
+        allocators.append(RecordingAllocator(limit))
+        return allocators[-1]
+
+    with mock.patch.object(broker_module, "WireAllocator", allocator):
+        rig = Rig(keepalive_interval_ms=100, keepalive_misses=3)
+        gws = [Gw(rig, *spec) for spec in SLOTS]
+        # one session runs out of wire ids after three
+        rig.broker.sessions[gws[limited].session.call_id].allocator = allocator(limit=3)
+        for step in steps:
+            play(rig, gws, step)
+        for conn_id in list(rig.broker.conns):
+            rig.broker.on_disconnect(conn_id, rig.now)
+    assert rig.broker.teardown_state()["clean"]
+    assert not rig.broker.pending_relay and not rig.broker.pending_auth
+    for a in allocators:
+        assert len(a.issued) == len(set(a.issued))

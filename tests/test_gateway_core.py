@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msbc.gateway import DeliveryStatus, Gateway, GatewayConfig, GatewayState, Receiver
+from msbc.gateway import AttachError, DeliveryStatus, Gateway, GatewayConfig, GatewayState, Receiver
 from msbc.gateway.api import GatewayCore
 from msbc.interconnect.broker import Broker, BrokerConfig
 from msbc.interconnect.directory import parse_directory
+from msbc.interconnect.wiretable import WireAllocator
 from msbc.loop import now_ms
+from msbc.session import make_bye
 from msbc.wire import (
     ControlMessage,
     DeliveryReport,
@@ -275,3 +277,88 @@ def test_a_grant_of_a_wire_past_the_wire_id_range_is_refused(net, verb):
     net.settle()
     assert gw.state is GatewayState.OPEN  # it reconnected
     assert "meter.b" not in gw.attachments()
+
+
+def test_a_bye_from_the_broker_is_answered_and_the_gateway_redials(net):
+    gw = net.home
+    signal, _ = links(gw)
+    before = len(signal.log)
+    _, bye = make_bye(gw._core.session, "b0000009")
+    signal.inbound += encode_frame(bye)
+    net.run_pass(gw)
+    (wrote, [ok]), closed = signal.log[before:]
+    assert wrote == "write" and closed == "close"
+    assert (ok.status, ok.call_id) == (200, bye.call_id)
+    assert gw.state is GatewayState.DEGRADED
+    gw._tick(now_ms() + gw.config.reconnect_initial_ms)
+    net.settle()
+    assert gw.state is GatewayState.OPEN
+    assert links(gw)[0] is not signal and gw.call_id != bye.call_id
+    assert list(gw.attachments()) == ["meter.a"]  # recommissioned on the new session
+
+
+def test_a_write_that_raises_does_not_wedge_later_calls(net):
+    gw = net.home
+    signal, _ = links(gw)
+    write = signal.send_frame
+
+    def send_frame(frame):  # a frame this link can never write
+        if isinstance(frame, ControlMessage) and frame.verb is Verb.COMMISSION:
+            raise OSError("write failed")
+        return write(frame)
+
+    signal.send_frame = send_frame
+    with pytest.raises(OSError):
+        gw.attach_device("meter.b")
+    d = gw.transmit("meter.a", b"after")
+    net.settle()
+    assert d.status is DeliveryStatus.DELIVERED
+    assert net.provider.receiver.data == [("meter.a", b"after")]
+    gw.abort()
+    assert gw.state is GatewayState.CLOSED
+    assert signal.log[-1] == "close"
+
+
+def test_a_late_packet_for_a_detached_device_is_answered_no_wire(net):
+    # The provider's packet for meter.a waits on the home's payload link
+    # while meter.a detaches (both sides ack) and meter.b attaches. It must
+    # not reach meter.b, and the provider must learn it was not delivered.
+    home, provider = net.home, net.provider
+    _, payload = links(home)
+    d = provider.transmit("meter.a", b"for a")
+    held = bytes(payload.inbound)
+    assert held
+    payload.inbound.clear()
+    home.detach_device("meter.a")
+    net.settle()
+    att = home.attach_device("meter.b")
+    net.settle()
+    assert att.attached
+    payload.inbound += held
+    net.settle()
+    assert home.receiver.data == []
+    assert d.status is DeliveryStatus.NO_WIRE
+
+
+def test_a_provider_out_of_wire_ids_redials_onto_a_fresh_allocator(net):
+    home, provider = net.home, net.provider
+    spent = net.broker.sessions[provider.call_id].allocator = WireAllocator(limit=1)
+    assert spent.allocate() == provider.attachments()["meter.a"]  # its one id is meter.a's
+    old = provider.call_id
+    att = home.attach_device("meter.b")
+    net.settle()
+    with pytest.raises(AttachError) as err:
+        att.wait(0)
+    assert err.value.reason == "provider-unavailable"
+    net.run_pass(provider)  # it reads the end of its links
+    assert provider.state is GatewayState.DEGRADED
+    assert [e.detail for e in net.broker.events.snapshot()
+            if e.kind == "session_closed" and e.session == old] == ["wire-exhausted"]
+    provider._tick(now_ms() + provider.config.reconnect_initial_ms)
+    net.settle()
+    assert provider.state is GatewayState.OPEN and provider.call_id != old
+    assert provider.attachments() == {"meter.a": 1}  # re-authorized on the new session
+    d = home.transmit("meter.a", b"x")
+    net.settle()
+    assert d.status is DeliveryStatus.DELIVERED
+    assert provider.receiver.data == [("meter.a", b"x")]

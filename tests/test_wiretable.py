@@ -1,4 +1,5 @@
-"""Wire-id allocation (with release quarantine) and the routing table."""
+"""Wire-id allocation (ids count up and are never reissued; a released id
+is quarantined until its ack) and the routing table."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,26 +7,30 @@ from hypothesis import given, strategies as st
 from msbc.interconnect.wiretable import End, Entry, EntryState, WireAllocator, WireExhausted, WireTable
 
 
-def test_allocates_lowest_free_from_one():
+def test_allocates_counting_up_from_one():
     a = WireAllocator()
     assert [a.allocate() for _ in range(3)] == [1, 2, 3]
 
 
-def test_released_id_held_until_ack():
+def test_released_id_quarantined_until_ack_and_never_reissued():
     a = WireAllocator()
     a.allocate()  # 1
     a.allocate()  # 2
     a.start_release(1)
-    assert a.allocate() == 3  # 1 still quarantined
+    assert a.quarantined == {1}
+    assert a.allocate() == 3
     a.finish_release(1)
-    assert a.allocate() == 1
+    assert not a.quarantined
+    assert a.allocate() == 4  # a late packet for 1 can only find no binding
+    assert a.live == {2, 3, 4}
 
 
-def test_cancel_returns_id_immediately():
+def test_cancelled_id_is_not_reissued():
     a = WireAllocator()
     a.allocate()
     a.cancel(1)
-    assert a.allocate() == 1
+    assert not a.live
+    assert a.allocate() == 2
 
 
 def test_finish_without_start_is_noop():
@@ -44,22 +49,26 @@ def test_exhaustion():
         a.allocate()
 
 
-@given(st.lists(st.sampled_from(["alloc", "start", "finish"]), max_size=60))
+@given(st.lists(st.sampled_from(["alloc", "start", "finish", "cancel"]), max_size=60))
 def test_allocator_never_double_issues(ops):
     a = WireAllocator()
     issued: list[int] = []
+    ever: set[int] = set()
     for op in ops:
         if op == "alloc":
             wire = a.allocate()
-            assert wire not in a.quarantined
+            assert wire not in ever  # never issued before, in any state since
+            ever.add(wire)
             issued.append(wire)
         elif op == "start" and issued:
             a.start_release(issued.pop(0))
         elif op == "finish" and a.quarantined:
             a.finish_release(min(a.quarantined))
+        elif op == "cancel" and issued:
+            a.cancel(issued.pop())
         assert not (a.live & a.quarantined)
-        assert len(issued) == len(set(issued))
-        assert set(issued) <= a.live
+        assert set(issued) == a.live
+        assert a.quarantined <= ever
 
 
 def make_entry(ctid="d1", lgw=("L", 1), asgw=("A", 1)):
